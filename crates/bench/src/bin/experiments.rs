@@ -675,9 +675,6 @@ fn lpsolvers(workloads: &[Workload], selection: EngineSelection) {
     for &e in &engines {
         header.push(short(e).to_string());
         header.push(format!("{} piv (deg)", short(e)));
-        if e == SimplexEngine::NetworkSimplex {
-            header.push("pivots (warm)".to_string());
-        }
     }
     if with_speedup {
         header.push("netflow speedup".to_string());
@@ -701,9 +698,6 @@ fn lpsolvers(workloads: &[Workload], selection: EngineSelection) {
                             "{:.1} ({:.1})",
                             stat.pivots, stat.degenerate_pivots
                         ));
-                        if stat.engine == SimplexEngine::NetworkSimplex {
-                            cells.push(format!("{:.1}", stat.warm_pivots));
-                        }
                     }
                     if with_speedup {
                         cells.push(format!(
@@ -733,10 +727,8 @@ fn lpsolvers(workloads: &[Workload], selection: EngineSelection) {
         println!(
             "(netflow = direct graph -> min-cost-flow emitter + network simplex, no LP \
              assembly; speedup = sparse avg / netflow avg; piv (deg) = avg basis-changing \
-             pivots and, in parentheses, zero-step pivots per subgraph; pivots (warm) = avg \
-             pivots when netflow re-solves seeded from its own optimal basis — the floor a \
-             flow session restarts from; every subgraph's optimal values are asserted to \
-             agree across engines)"
+             pivots and, in parentheses, zero-step pivots per subgraph; every subgraph's \
+             optimal values are asserted to agree across engines)"
         );
     }
 }

@@ -15,11 +15,8 @@
 //!    ([`NetflowSession`]): the previous optimal
 //!    basis stays live in the engine, expired capacity is repaired by dual
 //!    pivots, new arcs are priced in by warm primal pivots, and an
-//!    unusable state (disconnected tree, dual stall) transparently
-//!    restarts from scratch. The capture/restore form of the same idea —
-//!    [`MinCostFlowProblem::reoptimize`](tin_lp::MinCostFlowProblem::reoptimize)
-//!    over an exported [`Basis`](tin_lp::Basis) — remains available for
-//!    callers that must serialize a session.
+//!    unusable state (shrunk problem, dual stall, pivot limit)
+//!    transparently restarts from scratch.
 //!
 //! The solved value is exact on every batch — equal to what a cold
 //! [`netflow_max_flow`](crate::netflow_max_flow) on the current graph
@@ -69,11 +66,15 @@ pub struct SessionStats {
     /// Solves that successfully re-optimized from the previous basis.
     pub basis_hits: usize,
     /// Solves that had a basis but had to fall back to a cold solve
-    /// (disconnected tree, changed supplies, unusable seed).
+    /// (shrunk problem, re-costed tree arc, dual stall, pivot limit).
     pub fallback_cold: usize,
-    /// Solves routed through the dual (shrink-only) re-optimizer.
+    /// Resident solves whose pending patches only removed capacity
+    /// (shrink-only batches). A classification of the batch, not of the
+    /// repair: every resident solve runs the same sync, dual repair and
+    /// primal pricing.
     pub dual_reoptimizations: usize,
-    /// Solves routed through warm primal pivots.
+    /// Resident solves whose pending patches also added capacity, arcs or
+    /// nodes (the complement of [`SessionStats::dual_reoptimizations`]).
     pub primal_reoptimizations: usize,
     /// Pivots spent in solves that reused a basis.
     pub warm_pivots: usize,

@@ -315,8 +315,9 @@ fn chrono_cmp(t1: Time, q1: Quantity, t2: Time, q2: Quantity) -> Ordering {
 #[derive(Debug, Clone, Default)]
 pub struct McfPatch {
     /// The delta only removed capacity (expired interactions, tombstoned
-    /// edges): the previous optimal basis stays dual-feasible, so
-    /// [`MinCostFlowProblem::reoptimize_shrunk`] is the right re-entry.
+    /// edges), so the previous optimal basis stays dual-feasible. This
+    /// classifies the batch for [`crate::SessionStats`]; the resident
+    /// engine repairs every batch the same way.
     pub shrink_only: bool,
     /// Arcs tombstoned to zero capacity.
     pub tombstoned: usize,
@@ -536,11 +537,11 @@ impl McfFormulation {
     /// appending vertex copies and splicing holdover chains where new
     /// arrival times appear; arcs whose strict-precedence tail moved onto a
     /// spliced copy are retargeted. Arc and node ids are stable throughout,
-    /// which is what lets a captured simplex [`tin_lp::Basis`] survive the
+    /// which is what lets a resident [`tin_lp::NetflowSession`] absorb the
     /// patch.
     ///
-    /// Returns a [`McfPatch`] summary; [`McfPatch::shrink_only`] tells the
-    /// caller whether the dual re-optimization path applies.
+    /// Returns a [`McfPatch`] summary; [`McfPatch::shrink_only`] classifies
+    /// the batch as capacity removal only.
     ///
     /// # Panics
     /// Panics if this formulation was not built by [`build_mcf_session`].

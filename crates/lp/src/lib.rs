@@ -60,6 +60,6 @@ pub mod simplex;
 pub mod solution;
 pub mod sparse;
 
-pub use netflow::{Basis, McfArc, McfSolution, MinCostFlowProblem, NetflowSession};
+pub use netflow::{McfArc, McfSolution, MinCostFlowProblem, NetflowSession};
 pub use problem::{ConstraintOp, LpProblem, Sense, SimplexEngine};
 pub use solution::{LpSolution, LpStatus};

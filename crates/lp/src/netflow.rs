@@ -85,19 +85,12 @@ pub struct McfSolution {
     pub pivots: usize,
     /// Pivots whose step length was (numerically) zero.
     pub degenerate_pivots: usize,
-    /// The spanning-tree basis at the optimum, captured by the
-    /// basis-carrying entry points ([`MinCostFlowProblem::solve_with_basis`],
-    /// [`MinCostFlowProblem::reoptimize`],
-    /// [`MinCostFlowProblem::reoptimize_shrunk`]) so the next solve of a
-    /// patched problem can be seeded from it. `None` from plain
-    /// [`MinCostFlowProblem::solve`] and on non-optimal exits.
-    pub basis: Option<Basis>,
-    /// Whether this run was warm-started from a previous basis (and the
-    /// seed survived — a seeded run that fell back cold reports `false`).
+    /// Whether a [`NetflowSession`] solved this incrementally from its
+    /// resident basis (a session solve that restarted reports `false`).
     pub basis_reused: bool,
-    /// Whether a seeded run abandoned the supplied basis and re-solved from
-    /// scratch (unusable tree, changed supplies, or a pivot-limit stall in
-    /// the warm phases).
+    /// Whether a [`NetflowSession`] holding resident state abandoned it and
+    /// re-solved from scratch (shrunk problem, re-costed tree arc, dual
+    /// stall or pivot limit).
     pub fallback_cold: bool,
 }
 
@@ -109,7 +102,6 @@ impl McfSolution {
             flows: Vec::new(),
             pivots,
             degenerate_pivots,
-            basis: None,
             basis_reused: false,
             fallback_cold: false,
         }
@@ -118,43 +110,6 @@ impl McfSolution {
     /// Whether the solver proved optimality.
     pub fn is_optimal(&self) -> bool {
         self.status == LpStatus::Optimal
-    }
-}
-
-/// A spanning-tree basis captured at a network-simplex optimum: the
-/// per-arc rest state (tree / lower / upper) and flow, plus the supplies
-/// it was proved against. Feeding it back through
-/// [`MinCostFlowProblem::reoptimize`] (primal repair, the general case)
-/// or [`MinCostFlowProblem::reoptimize_shrunk`] (dual repair for
-/// capacity-decrease/expiry deltas) re-optimizes a *patched* problem from
-/// here instead of rebuilding the tree from scratch — arcs may have been
-/// appended, capacities and costs changed, and nodes added since the
-/// capture; supplies must be unchanged (new nodes must have supply 0) or
-/// the seed falls back to a cold solve.
-#[derive(Debug, Clone)]
-pub struct Basis {
-    num_nodes: usize,
-    supplies: Vec<f64>,
-    states: Vec<ArcState>,
-    /// Shifted flows (`x − lower`), aligned with `states`.
-    flows: Vec<f64>,
-}
-
-impl Basis {
-    /// Number of nodes of the problem this basis was captured from.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Number of arcs covered by this basis (arcs appended after the
-    /// capture seed as nonbasic-at-lower).
-    pub fn num_arcs(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Number of arcs resting in the spanning tree.
-    pub fn tree_arcs(&self) -> usize {
-        self.states.iter().filter(|&&s| s == ArcState::Tree).count()
     }
 }
 
@@ -385,62 +340,6 @@ impl MinCostFlowProblem {
         Some(mcf)
     }
 
-    /// Solves the problem with the network simplex (from scratch, no basis
-    /// capture — the zero-overhead one-shot path).
-    pub fn solve(&self) -> McfSolution {
-        self.solve_cold(false)
-    }
-
-    /// Like [`MinCostFlowProblem::solve`], but captures the optimal basis
-    /// into [`McfSolution::basis`] so a later solve of a patched problem
-    /// can be seeded from it.
-    pub fn solve_with_basis(&self) -> McfSolution {
-        self.solve_cold(true)
-    }
-
-    /// Re-optimizes from a previous basis after arbitrary in-place patches
-    /// (arc additions, capacity increases or decreases, cost changes,
-    /// retargeted endpoints, appended nodes): the stored flows are clamped
-    /// into the current bounds, any resulting node imbalance is put on the
-    /// artificial arcs and drained by primal phase-1 pivots from the seeded
-    /// tree, and phase 2 then re-proves optimality under the current costs.
-    /// Falls back to a cold solve — reported via
-    /// [`McfSolution::fallback_cold`] — when the basis is unusable (changed
-    /// supplies, fewer arcs than the basis covers, non-finite stored flows)
-    /// or a warm phase hits the pivot limit.
-    pub fn reoptimize(&self, basis: &Basis) -> McfSolution {
-        match self.try_seeded(basis, false) {
-            Some(solution) => solution,
-            None => {
-                let mut s = self.solve_cold(true);
-                s.fallback_cold = true;
-                s
-            }
-        }
-    }
-
-    /// Re-optimizes from a previous basis through the *dual* network
-    /// simplex — the natural repair for capacity-decrease/arc-removal
-    /// (expiry) deltas, where the old tree stays dual-feasible and only a
-    /// few tree arcs are pushed outside their (shrunk) bounds. Basic flows
-    /// are recomputed from the nonbasic rest states by tree elimination,
-    /// each primal infeasibility is repaired by one dual pivot (leaving arc
-    /// = the violated tree arc, entering arc = the minimum-reduced-cost
-    /// nonbasic arc crossing its tree cut), and a final primal phase
-    /// certifies optimality. Falls back to a cold solve on the same
-    /// conditions as [`MinCostFlowProblem::reoptimize`], plus a dual stall
-    /// (no crossing arc can absorb a violation).
-    pub fn reoptimize_shrunk(&self, basis: &Basis) -> McfSolution {
-        match self.try_seeded(basis, true) {
-            Some(solution) => solution,
-            None => {
-                let mut s = self.solve_cold(true);
-                s.fallback_cold = true;
-                s
-            }
-        }
-    }
-
     /// The pivot budget for one solve: the explicit cap when set, else a
     /// generous size-proportional default.
     fn pivot_limit(&self) -> usize {
@@ -451,14 +350,12 @@ impl MinCostFlowProblem {
         }
     }
 
-    fn solve_cold(&self, capture: bool) -> McfSolution {
+    /// Solves the problem from scratch with the network simplex.
+    pub fn solve(&self) -> McfSolution {
         let n = self.supplies.len();
         let m = self.arcs.len();
         if n == 0 {
-            return McfSolution {
-                status: LpStatus::Optimal,
-                ..McfSolution::with_status(LpStatus::Optimal, 0, 0)
-            };
+            return McfSolution::with_status(LpStatus::Optimal, 0, 0);
         }
 
         // The zero flow is already feasible for circulation problems (the
@@ -515,12 +412,12 @@ impl MinCostFlowProblem {
         if let Err(status) = s.run(limit, false) {
             return McfSolution::with_status(status, s.pivots, s.degenerate);
         }
-        self.extract(&s, capture, false)
+        self.extract(&s, false)
     }
 
-    /// Builds the optimal [`McfSolution`] from a finished simplex run,
-    /// optionally capturing the basis for reuse.
-    fn extract(&self, s: &NetSimplex, capture: bool, reused: bool) -> McfSolution {
+    /// Builds the optimal [`McfSolution`] from a finished simplex run;
+    /// `reused` marks an incremental session solve.
+    fn extract(&self, s: &NetSimplex, reused: bool) -> McfSolution {
         let flows: Vec<f64> = self
             .arcs
             .iter()
@@ -528,98 +425,12 @@ impl MinCostFlowProblem {
             .map(|(a, rec)| (a.lower + rec.flow).clamp(a.lower, a.upper))
             .collect();
         let objective = self.flow_cost(&flows);
-        let basis = capture.then(|| Basis {
-            num_nodes: s.n,
-            supplies: self.supplies.clone(),
-            states: s.arcs[..s.m].iter().map(|a| a.state).collect(),
-            flows: s.arcs[..s.m].iter().map(|a| a.flow).collect(),
-        });
         McfSolution {
             objective,
             flows,
-            basis,
             basis_reused: reused,
             ..McfSolution::with_status(LpStatus::Optimal, s.pivots, s.degenerate)
         }
-    }
-
-    /// Seeded re-optimization shared by [`MinCostFlowProblem::reoptimize`]
-    /// and [`MinCostFlowProblem::reoptimize_shrunk`]. Returns `None` when
-    /// the caller should fall back to a cold solve; `Some` results
-    /// (including `Infeasible`/`Unbounded`) are authoritative — the warm
-    /// phases prove those verdicts exactly as the cold path would.
-    fn try_seeded(&self, basis: &Basis, dual: bool) -> Option<McfSolution> {
-        let n = self.supplies.len();
-        let m = self.arcs.len();
-        if n == 0 || basis.num_nodes > n || basis.states.len() > m {
-            return None;
-        }
-        // The seed promises nothing about supplies: bail out unless they are
-        // exactly the ones the basis was proved against (appended nodes must
-        // be supply-free). Anything else is a different flow problem, not a
-        // patched one.
-        for (v, &s) in self.supplies.iter().enumerate() {
-            let want = if v < basis.num_nodes {
-                basis.supplies[v]
-            } else {
-                0.0
-            };
-            if s != want {
-                return None;
-            }
-        }
-        if basis.flows.iter().any(|f| !f.is_finite()) {
-            return None;
-        }
-        // Mirror the cold path's aggregate-balance rejection. The cold check
-        // sums the per-node excesses; the lower-bound shifts cancel pairwise
-        // (−l at the tail, +l at the head), so the sum is just Σ supplies.
-        if self.supplies.iter().sum::<f64>().abs() > FEAS_EPS {
-            return Some(McfSolution::with_status(LpStatus::Infeasible, 0, 0));
-        }
-        let limit = self.pivot_limit();
-        let mut s = NetSimplex::seeded(self, basis, dual);
-        if dual {
-            match s.dual_repair(limit) {
-                Ok(()) => {}
-                Err(DualOutcome::Stall) | Err(DualOutcome::Limit) => return None,
-            }
-        } else {
-            // Primal repair: the seeded constructor has already clamped the
-            // stored flows and parked every node imbalance on the artificial
-            // arcs with phase-1 costs; a zero imbalance makes this a no-op.
-            if s.infeasibility > EPS {
-                match s.run(limit, true) {
-                    Ok(()) => {}
-                    Err(LpStatus::Unbounded) => {
-                        return Some(McfSolution::with_status(
-                            LpStatus::Infeasible,
-                            s.pivots,
-                            s.degenerate,
-                        ));
-                    }
-                    Err(LpStatus::IterationLimit) => return None,
-                    Err(status) => {
-                        return Some(McfSolution::with_status(status, s.pivots, s.degenerate))
-                    }
-                }
-                let art_flow: f64 = s.arcs[m..].iter().map(|a| a.flow).sum();
-                if art_flow > FEAS_EPS {
-                    return Some(McfSolution::with_status(
-                        LpStatus::Infeasible,
-                        s.pivots,
-                        s.degenerate,
-                    ));
-                }
-            }
-            s.enter_phase2(&self.arcs);
-        }
-        match s.run(limit, false) {
-            Ok(()) => {}
-            Err(LpStatus::IterationLimit) => return None,
-            Err(status) => return Some(McfSolution::with_status(status, s.pivots, s.degenerate)),
-        }
-        Some(self.extract(&s, true, true))
     }
 }
 
@@ -733,7 +544,7 @@ struct NetSimplex {
     chain: Vec<usize>,
     chain_arcs: Vec<usize>,
     stack: Vec<usize>,
-    // CSR bucketing scratch for `warm_start` / `seed_tree`.
+    // CSR bucketing scratch for `warm_start`.
     start: Vec<usize>,
     incoming: Vec<u32>,
     // Subtree membership flags for the dual pivots (all `false` between
@@ -747,7 +558,6 @@ struct NetSimplex {
     adj: Vec<u32>,
     adj_start: Vec<u32>,
     adj_valid: bool,
-    adj_enabled: bool,
 }
 
 impl Drop for NetSimplex {
@@ -821,7 +631,6 @@ impl NetSimplex {
             adj: sc.adj,
             adj_start: sc.adj_start,
             adj_valid: false,
-            adj_enabled: false,
         };
         for a in &p.arcs {
             s.arcs.push(ArcRec {
@@ -873,296 +682,6 @@ impl NetSimplex {
             s.attach(root, v);
         }
         s
-    }
-
-    /// Builds the solver state from a previously captured [`Basis`] against
-    /// the *current* (patched) problem. Rest states come from the basis
-    /// (arcs appended since the capture start nonbasic-at-lower), the
-    /// spanning tree is re-derived from the `Tree` states — demoting any
-    /// arc that would close a cycle and anchoring each connected piece to
-    /// the root through an artificial arc — and flows are restored in the
-    /// mode the caller asked for:
-    ///
-    /// * **primal** (`dual == false`): stored tree flows are clamped into
-    ///   the current bounds, the resulting per-node imbalance is parked on
-    ///   the artificial arcs under phase-1 costs, and `infeasibility` ends
-    ///   up as the total imbalance (0 ⇒ the caller skips phase 1);
-    /// * **dual** (`dual == true`): nonbasic arcs snap exactly to their
-    ///   bounds, basic flows are *recomputed* by tree elimination (children
-    ///   before parents), and real costs are installed — the tree is
-    ///   dual-feasible by construction and any out-of-bounds tree flow is
-    ///   left for [`NetSimplex::dual_repair`].
-    fn seeded(p: &MinCostFlowProblem, basis: &Basis, dual: bool) -> Self {
-        let n = p.supplies.len();
-        let m = p.arcs.len();
-        let root = n;
-        let total = m + n;
-        assert!(total < NIL as usize, "network too large for u32 indexing");
-        let mut sc = SCRATCH.with(|slot| slot.take());
-        sc.arcs.clear();
-        sc.arcs.reserve(total);
-        sc.nodes.clear();
-        sc.nodes.resize(n + 1, NODE_INIT);
-        sc.marks.clear();
-        sc.marks.resize(n + 1, false);
-        let mut s = NetSimplex {
-            n,
-            m,
-            arcs: sc.arcs,
-            nodes: sc.nodes,
-            cursor: 0,
-            block: (total / 8).clamp(16, 1_024),
-            pivots: 0,
-            degenerate: 0,
-            infeasibility: 0.0,
-            path_from: sc.path_from,
-            path_to: sc.path_to,
-            chain: sc.chain,
-            chain_arcs: sc.chain_arcs,
-            stack: sc.stack,
-            start: sc.start,
-            incoming: sc.incoming,
-            marks: sc.marks,
-            adj: sc.adj,
-            adj_start: sc.adj_start,
-            adj_valid: false,
-            adj_enabled: false,
-        };
-        for (i, a) in p.arcs.iter().enumerate() {
-            let (state, flow) = if i < basis.states.len() {
-                (basis.states[i], basis.flows[i])
-            } else {
-                (ArcState::Lower, 0.0)
-            };
-            s.arcs.push(ArcRec {
-                tail: a.tail as u32,
-                head: a.head as u32,
-                state,
-                cap: a.upper - a.lower,
-                cost: 0.0, // installed below once the phase is known
-                flow,
-            });
-        }
-        for v in 0..n {
-            s.arcs.push(ArcRec {
-                tail: v as u32,
-                head: root as u32,
-                state: ArcState::Lower,
-                cap: 0.0,
-                cost: 0.0,
-                flow: 0.0,
-            });
-        }
-        // Normalize rest states against the *patched* bounds: an arc held
-        // at `Upper` whose capacity became infinite or (numerically) zero
-        // no longer has a bound to rest at — demote to lower.
-        for rec in &mut s.arcs[..m] {
-            match rec.state {
-                ArcState::Upper if !rec.cap.is_finite() || rec.cap <= EPS => {
-                    rec.state = ArcState::Lower;
-                    rec.flow = 0.0;
-                }
-                ArcState::Upper => rec.flow = rec.cap,
-                ArcState::Lower => rec.flow = 0.0,
-                ArcState::Tree => {
-                    rec.flow = if dual {
-                        0.0 // recomputed by elimination below
-                    } else {
-                        rec.flow.clamp(0.0, rec.cap)
-                    };
-                }
-            }
-        }
-        s.seed_tree();
-
-        if dual {
-            // Real costs immediately; artificial arcs stay cost 0, cap 0.
-            for (rec, a) in s.arcs.iter_mut().zip(&p.arcs) {
-                rec.cost = a.cost;
-            }
-            // Tree elimination: each node's residual excess (supply minus
-            // the lower-bound shifts and nonbasic flows) must leave through
-            // its pred arc; processing children before parents solves the
-            // triangular system in one sweep.
-            let mut e: Vec<f64> = p.supplies.clone();
-            e.push(0.0); // root
-            for (a, rec) in p.arcs.iter().zip(&s.arcs) {
-                let x = a.lower
-                    + if rec.state == ArcState::Tree {
-                        0.0
-                    } else {
-                        rec.flow
-                    };
-                e[a.tail] -= x;
-                e[a.head] += x;
-            }
-            s.eliminate_tree_flows(&mut e);
-        } else {
-            // Park every node imbalance on the artificial arcs, exactly as
-            // the cold constructor does — except here most excesses are 0,
-            // because the clamped flows still balance wherever the patch
-            // didn't bite.
-            let mut excess: Vec<f64> = p.supplies.clone();
-            for (a, rec) in p.arcs.iter().zip(&s.arcs) {
-                let x = a.lower + rec.flow;
-                excess[a.tail] -= x;
-                excess[a.head] += x;
-            }
-            let phase1 = excess.iter().any(|&e| e.abs() > EPS);
-            for (v, &e) in excess.iter().enumerate() {
-                if e.abs() <= EPS {
-                    continue;
-                }
-                let rec = &mut s.arcs[m + v];
-                let (tail, head) = if e >= 0.0 { (v, root) } else { (root, v) };
-                rec.tail = tail as u32;
-                rec.head = head as u32;
-                rec.flow = e.abs();
-                if rec.state == ArcState::Tree {
-                    rec.cap = f64::INFINITY; // the anchor carries the imbalance
-                } else {
-                    rec.cap = e.abs();
-                    rec.state = ArcState::Upper;
-                }
-                s.infeasibility += e.abs();
-            }
-            if phase1 {
-                // Phase-1 cost layout: real arcs 0 (already), artificials 1;
-                // anchors get unbounded capacity like the cold phase 1 so
-                // transient pivots are never blocked at the root.
-                for rec in &mut s.arcs[m..] {
-                    rec.cost = 1.0;
-                    if rec.state == ArcState::Tree {
-                        rec.cap = f64::INFINITY;
-                    }
-                }
-            }
-            // No imbalance: leave all costs 0 — the caller goes straight to
-            // `enter_phase2`, which installs the real costs and refreshes
-            // the potentials.
-        }
-
-        let root = s.n;
-        s.nodes[root].pot = 0.0;
-        let mut c = s.nodes[root].first_child;
-        while c != NIL {
-            s.refresh_subtree(c as usize);
-            c = s.nodes[c as usize].next_sib;
-        }
-        s
-    }
-
-    /// Rebuilds the parent/pred/child-sibling tree from the arc `Tree`
-    /// states restored out of a [`Basis`]. Tree arcs are treated as
-    /// undirected edges; any arc that would close a cycle (possible after
-    /// retargeting) is demoted to nonbasic-at-lower, and every connected
-    /// piece — including nodes appended after the capture — is anchored to
-    /// the artificial root through its lowest-numbered node's artificial
-    /// arc. Depths and potentials are left for the caller to refresh.
-    fn seed_tree(&mut self) {
-        let root = self.n;
-        let mut start = std::mem::take(&mut self.start);
-        start.clear();
-        start.resize(self.n + 1, 0);
-        for arc in &self.arcs[..self.m] {
-            if arc.state == ArcState::Tree {
-                start[arc.tail as usize] += 1;
-                start[arc.head as usize] += 1;
-            }
-        }
-        let mut run = 0usize;
-        for s in start.iter_mut() {
-            run += *s;
-            *s = run;
-        }
-        let mut incoming = std::mem::take(&mut self.incoming);
-        incoming.clear();
-        incoming.resize(run, 0);
-        for (a, arc) in self.arcs[..self.m].iter().enumerate() {
-            if arc.state == ArcState::Tree {
-                for v in [arc.tail as usize, arc.head as usize] {
-                    let slot = &mut start[v];
-                    *slot -= 1;
-                    incoming[*slot] = a as u32;
-                }
-            }
-        }
-        self.stack.clear();
-        for anchor in 0..self.n {
-            if self.nodes[anchor].parent != NIL {
-                continue;
-            }
-            self.nodes[anchor].parent = root as u32;
-            self.nodes[anchor].pred = (self.m + anchor) as u32;
-            self.arcs[self.m + anchor].state = ArcState::Tree;
-            self.attach(root, anchor);
-            self.stack.push(anchor);
-            while let Some(v) = self.stack.pop() {
-                for &inc in &incoming[start[v]..start[v + 1]] {
-                    let a = inc as usize;
-                    let arc = self.arcs[a];
-                    let u = if arc.tail as usize == v {
-                        arc.head as usize
-                    } else {
-                        arc.tail as usize
-                    };
-                    if self.nodes[u].parent == NIL {
-                        self.nodes[u].parent = v as u32;
-                        self.nodes[u].pred = a as u32;
-                        self.attach(v, u);
-                        self.stack.push(u);
-                    } else if self.arcs[a].state == ArcState::Tree
-                        && self.nodes[v].pred as usize != a
-                        && self.nodes[u].pred as usize != a
-                    {
-                        // Both endpoints already attached and the arc is
-                        // neither one's entry: it closes a cycle. The stored
-                        // tree is stale here; rest the arc at its lower
-                        // bound instead.
-                        self.arcs[a].state = ArcState::Lower;
-                        self.arcs[a].flow = 0.0;
-                    }
-                }
-            }
-        }
-        self.start = start;
-        self.incoming = incoming;
-    }
-
-    /// Tree elimination: given per-node residual excesses `e` (indexed
-    /// `0..=n`, root last), assigns every basic arc the unique flow that
-    /// balances its subtree. Preorder by explicit stack puts parents before
-    /// descendants, so the reverse sweep sees every child first and solves
-    /// the triangular system in one pass. Flows may land outside their
-    /// bounds — that is the caller's dual repair to finish.
-    fn eliminate_tree_flows(&mut self, e: &mut [f64]) {
-        let root = self.n;
-        self.chain.clear();
-        self.stack.clear();
-        let mut c = self.nodes[root].first_child;
-        while c != NIL {
-            self.stack.push(c as usize);
-            c = self.nodes[c as usize].next_sib;
-        }
-        while let Some(v) = self.stack.pop() {
-            self.chain.push(v);
-            let mut c = self.nodes[v].first_child;
-            while c != NIL {
-                self.stack.push(c as usize);
-                c = self.nodes[c as usize].next_sib;
-            }
-        }
-        for i in (0..self.chain.len()).rev() {
-            let v = self.chain[i];
-            let a = self.nodes[v].pred as usize;
-            let ev = e[v];
-            self.arcs[a].flow = if self.arcs[a].tail as usize == v {
-                ev
-            } else {
-                -ev
-            };
-            e[self.nodes[v].parent as usize] += ev;
-        }
     }
 
     fn rc(&self, a: &ArcRec) -> f64 {
@@ -1552,7 +1071,7 @@ impl NetSimplex {
         self.refresh_subtree(q);
     }
 
-    /// Dual network simplex over a seeded tree: while some tree arc is
+    /// Dual network simplex over the resident tree: while some tree arc is
     /// outside its bounds, repair the most-violated one with a single dual
     /// pivot. The tree stays dual-feasible throughout (the entering arc is
     /// the minimum-reduced-cost nonbasic arc crossing the violated arc's
@@ -1737,7 +1256,7 @@ impl NetSimplex {
         // the arc array in order, which the cache likes far better than
         // chasing adjacency indirections of comparable volume. The index
         // is built lazily on the first small cut of a repair pass.
-        if self.adj_enabled && self.chain.len() * 16 < self.n {
+        if self.chain.len() * 16 < self.n {
             if !self.adj_valid {
                 self.build_incidence();
             }
@@ -1817,7 +1336,7 @@ impl NetSimplex {
     }
 }
 
-/// Why a dual warm start gave up (the caller falls back to a cold solve).
+/// Why a dual repair gave up (the session falls back to a cold solve).
 enum DualOutcome {
     /// A primal infeasibility has no nonbasic crossing arc to absorb it.
     Stall,
@@ -1826,33 +1345,29 @@ enum DualOutcome {
 }
 
 /// A network-simplex engine that stays *resident* across a stream of solves
-/// of one evolving min-cost-flow problem.
-///
-/// [`MinCostFlowProblem::reoptimize`] reuses the previous optimal *basis*,
-/// but still rebuilds the full solver state — arc records, spanning tree,
-/// potentials — from that basis on every call: an `O(n + m)` reconstruction
-/// that costs as much as half a cold solve at the streaming workloads'
-/// small-batch cadence. A `NetflowSession` keeps the simplex state alive
-/// between solves and syncs only what changed:
+/// of one evolving min-cost-flow problem — the warm-start path. It keeps the
+/// simplex state (arc records, spanning tree, potentials) alive between
+/// solves and syncs only what changed:
 ///
 /// * appended arcs are spliced in nonbasic-at-lower (the artificial block
 ///   shifts up in place) and appended nodes hang off the root as fresh
 ///   zero-capacity anchors;
 /// * `touched` arcs (capacity, cost or endpoint patches) are refreshed
-///   individually; the spanning tree is rebuilt only when a *tree* arc was
-///   retargeted or re-costed, and the potentials survive otherwise;
-/// * each solve then snaps nonbasic arcs to their bounds and recomputes
-///   the basic flows by tree elimination in one allocation-light
-///   `O(n + m)` sweep, repairs any bound violation with dual pivots, and
-///   finishes with primal pricing.
+///   individually: a retargeted tree arc is demoted and its subtree
+///   re-anchored under the root, and the potentials survive (a re-costed
+///   *tree* arc would invalidate a whole subtree's potentials, so it
+///   restarts the session instead);
+/// * the flow each edit disturbs is routed root-ward through the tree, any
+///   tree arc pushed outside its bounds is repaired with dual pivots, and
+///   primal pricing re-proves optimality.
 ///
 /// The caller must list in `touched` every pre-existing arc it mutated
 /// since the previous solve (appended arcs are picked up automatically;
 /// duplicates are fine) — debug builds verify the sync against the problem.
 /// Whenever the resident state cannot be reused (first solve, shrunk
-/// problem, non-circulation shape, dual stall, pivot limit), the session
-/// transparently solves from scratch — keeping the fresh state resident —
-/// and reports it via [`McfSolution::fallback_cold`].
+/// problem, re-costed tree arc, non-circulation shape, dual stall, pivot
+/// limit), the session transparently solves from scratch — keeping the
+/// fresh state resident — and reports it via [`McfSolution::fallback_cold`].
 ///
 /// The incremental path covers exactly the warm-start shape of
 /// [`MinCostFlowProblem::solve`]: all-zero supplies and lower bounds (a
@@ -1939,7 +1454,7 @@ impl NetflowSession {
         if let Err(status) = s.run(problem.pivot_limit(), false) {
             return McfSolution::with_status(status, s.pivots, s.degenerate);
         }
-        let solution = problem.extract(&s, false, false);
+        let solution = problem.extract(&s, false);
         self.engine = Some(s);
         solution
     }
@@ -1982,12 +1497,14 @@ impl NetflowSession {
 
         // A tree arc whose *cost* changed invalidates the potentials of an
         // entire subtree — rare enough (the flow formulations never re-cost
-        // an arc) that a full tree reseed is the simplest correct answer.
+        // an arc) that the exact restart is the simplest correct answer.
         // Endpoint moves and capacity changes are repaired surgically.
-        let reseed = touched.iter().any(|&t| {
+        if touched.iter().any(|&t| {
             let rec = &s.arcs[t as usize];
             rec.state == ArcState::Tree && rec.cost != problem.arcs[t as usize].cost
-        });
+        }) {
+            return None;
+        }
 
         // Structural growth. Appended real arcs are spliced in ahead of
         // the artificial block so arc ids keep their meaning; tree `pred`
@@ -2064,182 +1581,132 @@ impl NetflowSession {
         let root = n;
         let limit = problem.pivot_limit();
 
-        if reseed {
-            // Dense fallback: sync every touched arc in place, rebuild the
-            // tree from the arc states, recompute all flows by elimination.
-            for &t in &touched {
-                let a = &problem.arcs[t as usize];
-                let rec = &mut s.arcs[t as usize];
-                rec.tail = a.tail as u32;
-                rec.head = a.head as u32;
-                rec.cost = a.cost;
-                rec.cap = a.upper - a.lower;
-            }
-            for node in &mut s.nodes {
-                *node = NODE_INIT;
-            }
-            for rec in &mut s.arcs[m..] {
-                rec.state = ArcState::Lower;
-                rec.flow = 0.0;
-            }
-            s.seed_tree();
-            let mut excess = vec![0.0f64; n + 1];
-            for rec in &mut s.arcs[..m] {
-                match rec.state {
-                    ArcState::Upper if !rec.cap.is_finite() || rec.cap <= EPS => {
+        // Sparse sync. `excess` tracks the conservation surplus each
+        // flow edit leaves behind at a node; `hot` the nodes holding
+        // one; `worklist` the tree arcs whose flows were (or will be)
+        // rewritten and may now sit outside their bounds.
+        let mut excess = vec![0.0f64; n + 1];
+        let mut hot: Vec<usize> = Vec::new();
+        let mut worklist: Vec<u32> = Vec::new();
+        for &t in &touched {
+            let i = t as usize;
+            let a = &problem.arcs[i];
+            let new_cap = a.upper - a.lower;
+            let rec = &mut s.arcs[i];
+            let moved = rec.tail as usize != a.tail || rec.head as usize != a.head;
+            match rec.state {
+                ArcState::Lower => {
+                    // Resting at zero flow: every patch is free.
+                    rec.tail = a.tail as u32;
+                    rec.head = a.head as u32;
+                    rec.cap = new_cap;
+                    rec.cost = a.cost;
+                }
+                ArcState::Upper => {
+                    // The rest flow follows the bound: retract the old
+                    // contribution, apply the new one.
+                    let old = rec.flow;
+                    if old != 0.0 {
+                        excess[rec.tail as usize] += old;
+                        excess[rec.head as usize] -= old;
+                        hot.push(rec.tail as usize);
+                        hot.push(rec.head as usize);
+                    }
+                    rec.tail = a.tail as u32;
+                    rec.head = a.head as u32;
+                    rec.cap = new_cap;
+                    rec.cost = a.cost;
+                    if !new_cap.is_finite() || new_cap <= EPS {
                         rec.state = ArcState::Lower;
                         rec.flow = 0.0;
-                        continue;
-                    }
-                    ArcState::Upper => rec.flow = rec.cap,
-                    ArcState::Lower | ArcState::Tree => {
-                        rec.flow = 0.0;
-                        continue;
-                    }
-                }
-                excess[rec.tail as usize] -= rec.flow;
-                excess[rec.head as usize] += rec.flow;
-            }
-            s.eliminate_tree_flows(&mut excess);
-            s.nodes[root].pot = 0.0;
-            let mut c = s.nodes[root].first_child;
-            while c != NIL {
-                s.refresh_subtree(c as usize);
-                c = s.nodes[c as usize].next_sib;
-            }
-            s.adj_enabled = true;
-            if s.dual_repair(limit).is_err() {
-                return None;
-            }
-        } else {
-            // Sparse sync. `excess` tracks the conservation surplus each
-            // flow edit leaves behind at a node; `hot` the nodes holding
-            // one; `worklist` the tree arcs whose flows were (or will be)
-            // rewritten and may now sit outside their bounds.
-            let mut excess = vec![0.0f64; n + 1];
-            let mut hot: Vec<usize> = Vec::new();
-            let mut worklist: Vec<u32> = Vec::new();
-            for &t in &touched {
-                let i = t as usize;
-                let a = &problem.arcs[i];
-                let new_cap = a.upper - a.lower;
-                let rec = &mut s.arcs[i];
-                let moved = rec.tail as usize != a.tail || rec.head as usize != a.head;
-                match rec.state {
-                    ArcState::Lower => {
-                        // Resting at zero flow: every patch is free.
-                        rec.tail = a.tail as u32;
-                        rec.head = a.head as u32;
-                        rec.cap = new_cap;
-                        rec.cost = a.cost;
-                    }
-                    ArcState::Upper => {
-                        // The rest flow follows the bound: retract the old
-                        // contribution, apply the new one.
-                        let old = rec.flow;
-                        if old != 0.0 {
-                            excess[rec.tail as usize] += old;
-                            excess[rec.head as usize] -= old;
-                            hot.push(rec.tail as usize);
-                            hot.push(rec.head as usize);
-                        }
-                        rec.tail = a.tail as u32;
-                        rec.head = a.head as u32;
-                        rec.cap = new_cap;
-                        rec.cost = a.cost;
-                        if !new_cap.is_finite() || new_cap <= EPS {
-                            rec.state = ArcState::Lower;
-                            rec.flow = 0.0;
-                        } else {
-                            rec.flow = new_cap;
-                            excess[a.tail] -= new_cap;
-                            excess[a.head] += new_cap;
-                            hot.push(a.tail);
-                            hot.push(a.head);
-                        }
-                    }
-                    ArcState::Tree if moved => {
-                        // A retargeted basic arc: demote it, give its flow
-                        // back to its old endpoints, and re-anchor the
-                        // subtree it was holding up directly under the
-                        // root (zero-capacity anchor — any flow the
-                        // subtree still exchanges with the rest surfaces
-                        // there as a violation for the dual repair).
-                        let f = rec.flow;
-                        let (ot, oh) = (rec.tail as usize, rec.head as usize);
-                        rec.state = ArcState::Lower;
-                        rec.flow = 0.0;
-                        rec.tail = a.tail as u32;
-                        rec.head = a.head as u32;
-                        rec.cap = new_cap;
-                        rec.cost = a.cost;
-                        if f != 0.0 {
-                            excess[ot] += f;
-                            excess[oh] -= f;
-                            hot.push(ot);
-                            hot.push(oh);
-                        }
-                        let x = if s.nodes[ot].pred as usize == i {
-                            ot
-                        } else {
-                            oh
-                        };
-                        debug_assert_eq!(s.nodes[x].pred as usize, i);
-                        s.detach(x);
-                        s.nodes[x].parent = root as u32;
-                        s.nodes[x].pred = (m + x) as u32;
-                        s.arcs[m + x].state = ArcState::Tree;
-                        s.attach(root, x);
-                        s.refresh_subtree(x);
-                        worklist.push((m + x) as u32);
-                    }
-                    ArcState::Tree => {
-                        // Capacity change on a basic arc: the flow stays;
-                        // if the new bound cut below it, the dual repair
-                        // will reroute the difference.
-                        rec.cap = new_cap;
-                        rec.cost = a.cost;
-                        worklist.push(t);
-                    }
-                }
-            }
-            // Route every surplus to the root through the tree: the
-            // contributions sum to zero there, and each rewritten tree
-            // flow becomes a repair candidate.
-            for &v0 in &hot {
-                let e = excess[v0];
-                if e == 0.0 || v0 == root {
-                    continue;
-                }
-                excess[v0] = 0.0;
-                let mut v = v0;
-                while v != root {
-                    let a = s.nodes[v].pred as usize;
-                    if s.arcs[a].tail as usize == v {
-                        s.arcs[a].flow += e;
                     } else {
-                        s.arcs[a].flow -= e;
-                    }
-                    worklist.push(a as u32);
-                    v = s.nodes[v].parent as usize;
-                }
-            }
-            // The worklist drains in arbitrary order, which (unlike the
-            // worst-violation-first dense scan) can thrash on degenerate
-            // pivot chains. A tight budget bounds that: on exhaustion the
-            // flows are still a conserving circulation, so the dense
-            // repair finishes the job worst-first.
-            s.adj_enabled = true;
-            let budget = (s.pivots + 4 * worklist.len() + 32).min(limit);
-            match s.dual_repair_sparse(budget, &mut worklist) {
-                Ok(()) => {}
-                Err(DualOutcome::Limit) if budget < limit => {
-                    if s.dual_repair(limit).is_err() {
-                        return None;
+                        rec.flow = new_cap;
+                        excess[a.tail] -= new_cap;
+                        excess[a.head] += new_cap;
+                        hot.push(a.tail);
+                        hot.push(a.head);
                     }
                 }
-                Err(_) => return None,
+                ArcState::Tree if moved => {
+                    // A retargeted basic arc: demote it, give its flow
+                    // back to its old endpoints, and re-anchor the
+                    // subtree it was holding up directly under the
+                    // root (zero-capacity anchor — any flow the
+                    // subtree still exchanges with the rest surfaces
+                    // there as a violation for the dual repair).
+                    let f = rec.flow;
+                    let (ot, oh) = (rec.tail as usize, rec.head as usize);
+                    rec.state = ArcState::Lower;
+                    rec.flow = 0.0;
+                    rec.tail = a.tail as u32;
+                    rec.head = a.head as u32;
+                    rec.cap = new_cap;
+                    rec.cost = a.cost;
+                    if f != 0.0 {
+                        excess[ot] += f;
+                        excess[oh] -= f;
+                        hot.push(ot);
+                        hot.push(oh);
+                    }
+                    let x = if s.nodes[ot].pred as usize == i {
+                        ot
+                    } else {
+                        oh
+                    };
+                    debug_assert_eq!(s.nodes[x].pred as usize, i);
+                    s.detach(x);
+                    s.nodes[x].parent = root as u32;
+                    s.nodes[x].pred = (m + x) as u32;
+                    s.arcs[m + x].state = ArcState::Tree;
+                    s.attach(root, x);
+                    s.refresh_subtree(x);
+                    worklist.push((m + x) as u32);
+                }
+                ArcState::Tree => {
+                    // Capacity change on a basic arc: the flow stays;
+                    // if the new bound cut below it, the dual repair
+                    // will reroute the difference.
+                    rec.cap = new_cap;
+                    rec.cost = a.cost;
+                    worklist.push(t);
+                }
             }
+        }
+        // Route every surplus to the root through the tree: the
+        // contributions sum to zero there, and each rewritten tree
+        // flow becomes a repair candidate.
+        for &v0 in &hot {
+            let e = excess[v0];
+            if e == 0.0 || v0 == root {
+                continue;
+            }
+            excess[v0] = 0.0;
+            let mut v = v0;
+            while v != root {
+                let a = s.nodes[v].pred as usize;
+                if s.arcs[a].tail as usize == v {
+                    s.arcs[a].flow += e;
+                } else {
+                    s.arcs[a].flow -= e;
+                }
+                worklist.push(a as u32);
+                v = s.nodes[v].parent as usize;
+            }
+        }
+        // The worklist drains in arbitrary order, which (unlike the
+        // worst-violation-first dense scan) can thrash on degenerate
+        // pivot chains. A tight budget bounds that: on exhaustion the
+        // flows are still a conserving circulation, so the dense
+        // repair finishes the job worst-first.
+        let budget = (s.pivots + 4 * worklist.len() + 32).min(limit);
+        match s.dual_repair_sparse(budget, &mut worklist) {
+            Ok(()) => {}
+            Err(DualOutcome::Limit) if budget < limit => {
+                if s.dual_repair(limit).is_err() {
+                    return None;
+                }
+            }
+            Err(_) => return None,
         }
 
         if cfg!(debug_assertions) {
@@ -2259,7 +1726,7 @@ impl NetflowSession {
             // render the authoritative verdict.
             return None;
         }
-        let solution = problem.extract(&s, false, true);
+        let solution = problem.extract(&s, true);
         self.engine = Some(s);
         Some(solution)
     }
@@ -2582,131 +2049,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_with_basis_captures_reusable_basis() {
-        let p = circulation();
-        let s = p.solve_with_basis();
-        assert_eq!(s.status, LpStatus::Optimal);
-        assert!(!s.basis_reused && !s.fallback_cold);
-        let basis = s.basis.expect("basis captured");
-        assert_eq!(basis.num_nodes(), 4);
-        assert_eq!(basis.num_arcs(), 5);
-        assert!(basis.tree_arcs() <= 4);
-        // Plain solve stays zero-overhead: no capture.
-        assert!(p.solve().basis.is_none());
-    }
-
-    #[test]
-    fn reoptimize_after_capacity_raise_matches_cold() {
-        let mut p = circulation();
-        let basis = p.solve_with_basis().basis.unwrap();
-        p.set_capacity(0, 5.0);
-        p.set_capacity(1, 5.0);
-        let warm = p.reoptimize(&basis);
-        assert!(warm.basis_reused && !warm.fallback_cold);
-        assert!((warm.objective - (-7.0)).abs() < 1e-9);
-        assert_warm_matches_cold(&p, &warm);
-        assert!(warm.basis.is_some(), "reoptimize re-captures the basis");
-    }
-
-    #[test]
-    fn reoptimize_shrunk_after_capacity_cut_matches_cold() {
-        let mut p = circulation();
-        let basis = p.solve_with_basis().basis.unwrap();
-        // Cut below the current flow: the old basis is primal-infeasible.
-        p.set_capacity(0, 1.0);
-        let warm = p.reoptimize_shrunk(&basis);
-        assert!(warm.basis_reused && !warm.fallback_cold);
-        assert!((warm.objective - (-3.0)).abs() < 1e-9);
-        assert_warm_matches_cold(&p, &warm);
-    }
-
-    #[test]
-    fn reoptimize_shrunk_handles_tombstoned_arcs() {
-        let mut p = circulation();
-        let basis = p.solve_with_basis().basis.unwrap();
-        // Tombstone one whole path (expiry): capacity pinned to the lower
-        // bound, arc ids stable.
-        p.set_capacity(0, 0.0);
-        p.set_capacity(1, 0.0);
-        let warm = p.reoptimize_shrunk(&basis);
-        assert!(warm.basis_reused);
-        assert!((warm.objective - (-2.0)).abs() < 1e-9);
-        assert_warm_matches_cold(&p, &warm);
-    }
-
-    #[test]
-    fn reoptimize_after_arc_and_node_additions_matches_cold() {
-        let mut p = circulation();
-        let basis = p.solve_with_basis().basis.unwrap();
-        // Grow the network: a new relay node on a third path.
-        let relay = p.add_node();
-        p.add_arc(0, relay, 0.0, 4.0);
-        p.add_arc(relay, 3, 0.0, 4.0);
-        let warm = p.reoptimize(&basis);
-        assert!(warm.basis_reused && !warm.fallback_cold);
-        assert!((warm.objective - (-9.0)).abs() < 1e-9);
-        assert_warm_matches_cold(&p, &warm);
-    }
-
-    #[test]
-    fn reoptimize_after_retarget_matches_cold() {
-        let mut p = circulation();
-        let basis = p.solve_with_basis().basis.unwrap();
-        // Splice a node into the middle of arc 1 (the streaming emitter's
-        // "new vertex copy" patch): 1→3 becomes 1→relay→3.
-        let relay = p.add_node();
-        p.retarget(1, 1, relay);
-        p.add_arc(relay, 3, 0.0, 3.0);
-        let warm = p.reoptimize(&basis);
-        assert!(warm.basis_reused && !warm.fallback_cold);
-        assert!((warm.objective - (-5.0)).abs() < 1e-9);
-        assert_warm_matches_cold(&p, &warm);
-    }
-
-    #[test]
-    fn changed_supplies_force_cold_fallback() {
-        let mut p = MinCostFlowProblem::new(2);
-        p.set_supply(0, 3.0);
-        p.set_supply(1, -3.0);
-        p.add_arc(0, 1, 2.0, 5.0);
-        let basis = p.solve_with_basis().basis.unwrap();
-        p.set_supply(0, 4.0);
-        p.set_supply(1, -4.0);
-        let warm = p.reoptimize(&basis);
-        assert!(warm.fallback_cold && !warm.basis_reused);
-        assert_eq!(warm.status, LpStatus::Optimal);
-        assert!((warm.objective - 8.0).abs() < 1e-9);
-        // The fallback still captures a fresh basis for the next batch.
-        assert!(warm.basis.is_some());
-    }
-
-    #[test]
-    fn warm_infeasible_verdict_matches_cold() {
-        let mut p = MinCostFlowProblem::new(2);
-        p.set_supply(0, 3.0);
-        p.set_supply(1, -3.0);
-        p.add_arc(0, 1, 1.0, 5.0);
-        let basis = p.solve_with_basis().basis.unwrap();
-        // Shrink below the committed supply: now truly infeasible.
-        p.set_capacity(0, 2.0);
-        assert_eq!(p.reoptimize(&basis).status, LpStatus::Infeasible);
-        assert_eq!(p.reoptimize_shrunk(&basis).status, LpStatus::Infeasible);
-        assert_eq!(p.solve().status, LpStatus::Infeasible);
-    }
-
-    #[test]
-    fn warm_solve_of_unchanged_problem_is_pivot_free() {
-        let p = circulation();
-        let basis = p.solve_with_basis().basis.unwrap();
-        let warm = p.reoptimize(&basis);
-        assert!(warm.basis_reused);
-        assert_eq!(warm.pivots, 0, "unchanged problem should need no pivots");
-        let warm = p.reoptimize_shrunk(&basis);
-        assert!(warm.basis_reused);
-        assert_eq!(warm.pivots, 0);
-    }
-
-    #[test]
     fn resident_session_matches_cold_through_patches() {
         let mut p = circulation();
         let mut session = NetflowSession::new();
@@ -2741,6 +2083,54 @@ mod tests {
         let warm = session.solve(&p, &[2, 3]);
         assert!(warm.basis_reused);
         assert_warm_matches_cold(&p, &warm);
+    }
+
+    #[test]
+    fn resident_session_repairs_a_spliced_retarget() {
+        // Splice a node into the middle of arc 1 (the streaming emitter's
+        // "new vertex copy" patch): 1→3 becomes 1→relay→3.
+        let mut p = circulation();
+        let mut session = NetflowSession::new();
+        session.solve(&p, &[]);
+        let relay = p.add_node();
+        p.retarget(1, 1, relay);
+        p.add_arc(relay, 3, 0.0, 3.0);
+        let warm = session.solve(&p, &[1]);
+        assert!(warm.basis_reused && !warm.fallback_cold);
+        assert!((warm.objective - (-5.0)).abs() < 1e-9);
+        assert_warm_matches_cold(&p, &warm);
+    }
+
+    #[test]
+    fn resident_session_repairs_a_tombstoned_path() {
+        // Expire one whole source→sink path: capacities pinned to the
+        // lower bound, arc ids stable.
+        let mut p = circulation();
+        let mut session = NetflowSession::new();
+        session.solve(&p, &[]);
+        p.set_capacity(0, 0.0);
+        p.set_capacity(1, 0.0);
+        let warm = session.solve(&p, &[0, 1]);
+        assert!(warm.basis_reused && !warm.fallback_cold);
+        assert!((warm.objective - (-2.0)).abs() < 1e-9);
+        assert_warm_matches_cold(&p, &warm);
+    }
+
+    #[test]
+    fn resident_session_restarts_on_a_recosted_tree_arc() {
+        let mut p = circulation();
+        let mut session = NetflowSession::new();
+        session.solve(&p, &[]);
+        let engine = session.engine.as_ref().expect("resident after a solve");
+        let t = (0..p.num_arcs())
+            .find(|&a| engine.arcs[a].state == ArcState::Tree)
+            .expect("some real arc is basic");
+        // No public setter re-costs an arc; patch the field directly.
+        p.arcs[t].cost += 2.0;
+        let sol = session.solve(&p, &[t as u32]);
+        assert!(sol.fallback_cold && !sol.basis_reused);
+        assert!(session.is_resident(), "the restart state stays resident");
+        assert_warm_matches_cold(&p, &sol);
     }
 
     #[test]
