@@ -49,7 +49,7 @@
 use crate::config::{ColumnMap, Delimiter, HeaderMode, LoaderConfig};
 use std::borrow::Cow;
 use std::fmt;
-use std::io::{BufRead, BufReader, Read};
+use std::io::{BufReader, Read};
 use std::path::Path;
 use tin_graph::io::parse_quantity;
 use tin_graph::{GraphDelta, GraphError, ParseMode, StreamingParser, TemporalGraph, Time};
@@ -72,27 +72,6 @@ pub struct IngestReport {
     pub delimiter: Delimiter,
     /// Whether the first content line was consumed as a header.
     pub had_header: bool,
-}
-
-impl IngestReport {
-    /// Folds the accounting of a later chunk of the same source into this
-    /// report: the row/byte/line counters add up, while the format decisions
-    /// (delimiter, header) stay with the earliest chunk — the one that made
-    /// them — unless it never saw a content line to decide from.
-    ///
-    /// This is the reduction step of the chunk-parallel loader
-    /// ([`crate::chunk`]): per-chunk reports merged in input order equal the
-    /// report of a serial pass over the concatenated input.
-    pub fn merge(&mut self, later: &IngestReport) {
-        self.rows += later.rows;
-        self.skipped += later.skipped;
-        self.bytes += later.bytes;
-        self.lines += later.lines;
-        if self.delimiter == Delimiter::Auto {
-            self.delimiter = later.delimiter;
-        }
-        self.had_header |= later.had_header;
-    }
 }
 
 impl fmt::Display for IngestReport {
@@ -120,20 +99,15 @@ pub struct LoadedDataset {
 }
 
 /// The per-file row geometry, resolved once from the first content line.
-///
-/// Crate-visible (and `Clone`) so the chunk-parallel loader
-/// ([`crate::chunk`]) can hand the shape locked by its serial first chunk to
-/// the workers parsing the rest.
-#[derive(Clone)]
-pub(crate) struct RowShape {
-    pub(crate) delimiter: Delimiter,
+struct RowShape {
+    delimiter: Delimiter,
     /// Expected number of fields per row (every row must match exactly; a
     /// mismatch usually means mixed delimiters or a truncated line).
-    pub(crate) fields: usize,
+    fields: usize,
     /// 0-based indices of (sender, recipient, timestamp, amount).
-    pub(crate) columns: [usize; 4],
+    columns: [usize; 4],
     /// The same columns 1-based, as reported in errors.
-    pub(crate) error_columns: [usize; 4],
+    error_columns: [usize; 4],
 }
 
 /// The incremental CSV/delimited-log tokenizer: reads a source line by line
@@ -239,16 +213,14 @@ impl<R: Read> DeltaStream<R> {
     /// In strict mode the first bad record surfaces here as
     /// [`GraphError::Ingest`]; records accepted earlier in the same batch
     /// are lost with it, mirroring the all-or-nothing contract of
-    /// [`load_reader`].
+    /// [`load_reader`]. In either mode, a line longer than
+    /// [`tin_graph::io::MAX_LINE_BYTES`] fails with [`GraphError::Ingest`]
+    /// and invalid UTF-8 with [`GraphError::Io`].
     pub fn next_delta(&mut self, max_records: usize) -> Result<Option<GraphDelta>, GraphError> {
         let target = max_records.max(1) as u64;
         let start = self.parser.records();
         while !self.eof && self.parser.records() - start < target {
-            self.buf.clear();
-            let n = self
-                .reader
-                .read_line(&mut self.buf)
-                .map_err(GraphError::from_io)?;
+            let n = self.parser.read_line(&mut self.reader, &mut self.buf)?;
             if n == 0 {
                 self.eof = true;
                 break;
@@ -285,13 +257,6 @@ impl<R: Read> DeltaStream<R> {
                 .map_or(self.config.delimiter, |s| s.delimiter),
             had_header: self.had_header,
         }
-    }
-
-    /// Crate-internal: the row shape locked so far, if any. The
-    /// chunk-parallel loader clones it for its workers once the serial first
-    /// chunk has proven it on an accepted record.
-    pub(crate) fn shape(&self) -> Option<RowShape> {
-        self.shape.clone()
     }
 
     /// Tokenizes and ingests one raw input line of `n` bytes (terminator
@@ -659,32 +624,6 @@ fn parse_scaled_timestamp(field: &str, scale: f64) -> Result<i64, String> {
     Ok(scaled.round() as i64)
 }
 
-/// Handles one raw input line (terminator included) once the row shape is
-/// locked: blank/comment skipping plus [`ingest_row`]. This is the per-line
-/// step the chunk-parallel workers ([`crate::chunk`]) share with the serial
-/// stream's post-lock path, so the two tokenize identically by construction.
-///
-/// The lenient re-sync branch of [`DeltaStream::process_line`] is
-/// deliberately absent: it only fires while *zero* records have been
-/// accepted, and workers only run after the serial first chunk has accepted
-/// at least one.
-pub(crate) fn process_locked_line(
-    raw: &str,
-    shape: &RowShape,
-    config: &LoaderConfig,
-    parser: &mut StreamingParser,
-    ranges: &mut Vec<(usize, usize)>,
-) -> Result<(), GraphError> {
-    let line = raw.trim_end_matches(['\n', '\r']).trim();
-    if line.is_empty() || line.starts_with('#') {
-        parser.advance_line(raw.len());
-        return Ok(());
-    }
-    ingest_row(line, shape, config, parser, ranges)?;
-    parser.advance_line(raw.len());
-    Ok(())
-}
-
 /// Tokenizes and validates one data row, pushing it into the parser.
 fn ingest_row(
     line: &str,
@@ -916,6 +855,26 @@ tx_id,Amount,From,To,Fee,Epoch
         let loaded = load_str(csv, &lenient()).unwrap();
         assert_eq!(loaded.report.rows, 1);
         assert_eq!(loaded.report.skipped, 1);
+        // Deep in a file, strict mode reports the first bad record's line,
+        // column and byte offset, not a later one.
+        let mut csv = String::from("sender,recipient,timestamp,amount\n");
+        for i in 0..90 {
+            csv.push_str(&format!("s{i},r{i},{i},1.0\n"));
+        }
+        let offset = csv.len() as u64;
+        csv.push_str("x,y,not_a_timestamp,1.0\nx,y,also_bad,1.0\n");
+        match load_str(&csv, &strict()) {
+            Err(GraphError::Ingest {
+                line,
+                column,
+                byte_offset,
+                message,
+            }) => {
+                assert_eq!((line, column, byte_offset), (92, 3, offset));
+                assert!(message.contains("not_a_timestamp"), "got: {message}");
+            }
+            other => panic!("expected Ingest, got {other:?}"),
+        }
     }
 
     #[test]
@@ -961,6 +920,16 @@ d,e,300,4.0
             load_str(csv, &strict()),
             Err(GraphError::Ingest { line: 2, .. })
         ));
+        // The same under the whitespace fallback, with a short banner the
+        // column mapping cannot read and bad rows after the header.
+        let text = "preamble junk line\nsender recipient ts amt\na0 b3 0 1.25\n\
+                    broken row without enough fields\na1 b4 1 1.25\n";
+        let loaded = load_str(text, &lenient()).unwrap();
+        assert_eq!(loaded.report.rows, 2);
+        assert_eq!(loaded.report.skipped, 2, "the banner and the broken row");
+        assert!(loaded.report.had_header);
+        assert_eq!(loaded.report.delimiter, Delimiter::Whitespace);
+        assert_eq!(loaded.report.lines, 5);
     }
 
     #[test]
@@ -1016,6 +985,17 @@ d,e,300,4.0
         let g = &loaded.graph;
         assert!(g.node_by_name("Smith, John").is_some());
         assert!(g.node_by_name("Doe, Jane").is_some());
+        // Quoted foreign delimiters and blank lines between records.
+        let csv = "sender,recipient,timestamp,amount\n\"node, 1\",\"peer;1\",1,2.5\n\n\
+                   \"node, 2\",\"peer;2\",2,2.5\n\n";
+        let loaded = load_str(csv, &strict()).unwrap();
+        assert_eq!(loaded.report.rows, 2);
+        assert_eq!(loaded.report.lines, 5);
+        assert_eq!(loaded.report.bytes, csv.len() as u64);
+        assert_eq!(loaded.report.delimiter, Delimiter::Char(','));
+        for name in ["node, 1", "peer;1", "node, 2", "peer;2"] {
+            assert!(loaded.graph.node_by_name(name).is_some(), "{name}");
+        }
     }
 
     #[test]
@@ -1058,6 +1038,17 @@ d,e,300,4.0
         let loaded = load_str(csv, &lenient()).unwrap();
         assert_eq!(loaded.report.rows, 1);
         assert_eq!(loaded.report.skipped, 2);
+        // A quoted field spanning a line break is cut at the newline (the
+        // loader is line-oriented): both fragments are bad rows.
+        let csv = "sender,recipient,timestamp,amount\n\"a\nb\",c,1,1.0\nc,d,2,1.0\n";
+        match load_str(csv, &strict()) {
+            Err(GraphError::Ingest { line, .. }) => assert_eq!(line, 2),
+            other => panic!("expected Ingest, got {other:?}"),
+        }
+        let loaded = load_str(csv, &lenient()).unwrap();
+        assert_eq!(loaded.report.rows, 1);
+        assert_eq!(loaded.report.skipped, 3);
+        assert!(loaded.graph.node_by_name("a").is_none());
     }
 
     #[test]
@@ -1087,6 +1078,15 @@ d,e,300,4.0
             assert_eq!(loaded.report.rows, 0);
             assert_eq!(loaded.graph.node_count(), 0);
             assert!(!loaded.report.had_header);
+        }
+        // A header with no records after it, in either mode.
+        for config in [strict(), lenient()] {
+            let loaded = load_str("sender,recipient,timestamp,amount\n", &config).unwrap();
+            assert_eq!(loaded.report.rows, 0);
+            assert_eq!(loaded.report.skipped, 0);
+            assert!(loaded.report.had_header);
+            assert_eq!(loaded.report.delimiter, Delimiter::Char(','));
+            assert_eq!(loaded.graph.node_count(), 0);
         }
     }
 
@@ -1229,5 +1229,74 @@ b,a,500,2.0
     fn negative_window_is_rejected() {
         let stream = DeltaStream::new(&b"a,b,1,1\n"[..], &strict()).unwrap();
         assert!(matches!(stream.window(-1), Err(GraphError::Invalid { .. })));
+    }
+
+    /// Counts the bytes a reader hands out.
+    struct Counting<R> {
+        inner: R,
+        pulled: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.pulled += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn overlong_lines_fail_at_the_cap_in_both_line_readers() {
+        use std::io::Read as _;
+        use tin_graph::io::MAX_LINE_BYTES;
+        // The capacity `BufReader::new` allocates.
+        const BUF_READER_CAPACITY: usize = 8 * 1024;
+        let endless = |first: &'static [u8]| Counting {
+            inner: first.chain(std::io::repeat(b'a').take(4 * MAX_LINE_BYTES as u64)),
+            pulled: 0,
+        };
+        let check = |result: Result<(), GraphError>, pulled: usize, first: &[u8]| {
+            match result {
+                Err(GraphError::Ingest {
+                    line: 2,
+                    column: 0,
+                    byte_offset,
+                    message,
+                }) => {
+                    assert_eq!(byte_offset, first.len() as u64);
+                    assert!(message.contains("exceeds"), "got: {message}");
+                }
+                other => panic!("expected a positional Ingest error, got {other:?}"),
+            }
+            assert!(
+                pulled <= first.len() + MAX_LINE_BYTES + BUF_READER_CAPACITY,
+                "pulled {pulled} bytes for one capped line"
+            );
+        };
+        for mode in [ParseMode::Strict, ParseMode::Lenient] {
+            let mut text = endless(b"a b 1 2\n");
+            let mut parser = StreamingParser::new(mode);
+            let result = parser.ingest(&mut text);
+            check(result, text.pulled, b"a b 1 2\n");
+
+            let mut csv = endless(b"a,b,1,2\n");
+            let config = LoaderConfig {
+                mode,
+                ..LoaderConfig::default()
+            };
+            let result = load_reader(&mut csv, &config).map(drop);
+            check(result, csv.pulled, b"a,b,1,2\n");
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_mid_stream_aborts_in_both_modes() {
+        let bytes: &[u8] = b"a,b,1,2\nb,\xff,2,1\nc,d,3,1\n";
+        for config in [strict(), lenient()] {
+            assert!(matches!(
+                load_reader(bytes, &config),
+                Err(GraphError::Io { .. })
+            ));
+        }
     }
 }

@@ -684,6 +684,29 @@ mod tests {
         // The node ids were reused (names are stable), only the edge id is
         // fresh.
         assert_eq!(g.node_count(), 3);
+        // Kill the pair again, then revive it in a delta that also carries
+        // a straggler dying on arrival and advances its own frontier.
+        g.apply(&GraphDelta::new(3, vec![], vec![]).unwrap().expire_before(8))
+            .unwrap();
+        assert!(g.is_tombstone(new));
+        let delta = GraphDelta::new(
+            3,
+            vec![],
+            vec![
+                (a, b, Interaction::new(9, 2.0)),
+                (a, b, Interaction::new(2, 9.0)),
+            ],
+        )
+        .unwrap()
+        .expire_before(8);
+        let applied = g.apply(&delta).unwrap();
+        g.validate().unwrap();
+        let third = g.find_edge(a, b).unwrap();
+        assert!(third != old && third != new);
+        assert_eq!(applied.new_edges, vec![third]);
+        assert_eq!(applied.removed_interactions, 1);
+        assert_eq!(g.edge(third).interactions, vec![Interaction::new(9, 2.0)]);
+        assert_eq!(g.live_edge_count(), 1);
     }
 
     #[test]

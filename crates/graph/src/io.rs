@@ -47,6 +47,13 @@ use crate::interaction::{Interaction, INFINITE_QUANTITY_TOKEN};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read};
 
+/// Longest input line, terminator included, that the line readers
+/// ([`StreamingParser::ingest`] and the CSV loader in `tin_datasets`)
+/// accept. A longer line fails with [`GraphError::Ingest`] in strict and
+/// lenient mode alike, so one unterminated line cannot grow the reused line
+/// buffer without limit.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Serializes a graph to a JSON string.
 pub fn to_json(graph: &TemporalGraph) -> String {
     serde_json::to_string(graph).expect("temporal graph serialization cannot fail")
@@ -220,19 +227,6 @@ impl StreamingParser {
         }
     }
 
-    /// Creates a parser whose position tracking starts at `line` (1-based)
-    /// and `byte_offset` instead of the top of the source. Used by chunked
-    /// parallel ingestion: a worker parsing a mid-file chunk seeds the
-    /// chunk's absolute position so every error and report it produces
-    /// points into the original input, not into the chunk.
-    pub fn with_position(mode: ParseMode, line: usize, byte_offset: u64) -> Self {
-        StreamingParser {
-            line,
-            byte_offset,
-            ..StreamingParser::new(mode)
-        }
-    }
-
     /// Number of records accepted so far.
     pub fn records(&self) -> u64 {
         self.records
@@ -276,6 +270,34 @@ impl StreamingParser {
                 Ok(false)
             }
         }
+    }
+
+    /// Reads the next input line, terminator included, into `buf` (cleared
+    /// first) and returns its length in bytes, or 0 at the end of the input.
+    ///
+    /// At most [`MAX_LINE_BYTES`] + 1 bytes are pulled from `reader` for one
+    /// line: a longer line fails with [`GraphError::Ingest`] at the current
+    /// position in either [`ParseMode`], and invalid UTF-8 fails with
+    /// [`GraphError::Io`]. External tokenizers read their lines through here
+    /// so the cap holds on every line-oriented entry point.
+    pub fn read_line<R: BufRead>(
+        &self,
+        reader: &mut R,
+        buf: &mut String,
+    ) -> Result<usize, GraphError> {
+        let mut bytes = std::mem::take(buf).into_bytes();
+        bytes.clear();
+        let n = reader
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut bytes)
+            .map_err(GraphError::from_io)?;
+        if n > MAX_LINE_BYTES {
+            return Err(self.error(0, format!("line exceeds {MAX_LINE_BYTES} bytes")));
+        }
+        *buf = String::from_utf8(bytes).map_err(|_| GraphError::Io {
+            message: "stream did not contain valid UTF-8".into(),
+        })?;
+        Ok(n)
     }
 
     /// Advances the position tracking past the current line, whose raw
@@ -408,13 +430,13 @@ impl StreamingParser {
 
     /// Streams the whitespace-separated text format from `reader` into the
     /// builder, reusing a single line buffer. I/O failures (including
-    /// invalid UTF-8) abort in either mode with [`GraphError::Io`].
+    /// invalid UTF-8) abort in either mode with [`GraphError::Io`], and a
+    /// line longer than [`MAX_LINE_BYTES`] with [`GraphError::Ingest`].
     pub fn ingest<R: Read>(&mut self, reader: R) -> Result<(), GraphError> {
         let mut reader = BufReader::new(reader);
         let mut buf = String::new();
         loop {
-            buf.clear();
-            let n = reader.read_line(&mut buf).map_err(GraphError::from_io)?;
+            let n = self.read_line(&mut reader, &mut buf)?;
             if n == 0 {
                 return Ok(());
             }

@@ -58,7 +58,6 @@ pub mod graph;
 pub mod ids;
 pub mod interaction;
 pub mod io;
-pub mod shard;
 pub mod topo;
 pub mod view;
 
@@ -71,7 +70,6 @@ pub use graph::{Edge, Node, TemporalGraph};
 pub use ids::{EdgeId, NodeId, Quantity, Time};
 pub use interaction::{Interaction, INFINITE_QUANTITY_TOKEN};
 pub use io::{ParseMode, StreamingParser};
-pub use shard::ShardedGraph;
 pub use topo::{is_dag, topological_order, TopoError};
 pub use view::{edge_induced_subgraph, induced_subgraph, SubgraphSpec};
 

@@ -1,7 +1,7 @@
-//! A minimal std-thread worker pool used by every embarrassingly parallel
-//! stage in the workspace (subgraph evaluation in the experiment harness,
-//! per-anchor path-table construction, chunked CSV parsing, shard-parallel
-//! graph maintenance).
+//! A minimal std-thread worker pool for the workspace's embarrassingly
+//! parallel stages: the eager per-anchor fan-out of `PathTables::build` in
+//! `tin_patterns` (auto-selected at ≥ 512 vertices on a pool of more than
+//! one thread) and per-subgraph evaluation in the experiment harness.
 //!
 //! No external crates: workers claim indices from a shared atomic cursor
 //! (cheap dynamic load balancing — item cost can vary by orders of
@@ -10,24 +10,17 @@
 //!
 //! ## Sizing the pool
 //!
-//! Every map sizes its pool from [`effective_threads`], resolved in
-//! precedence order:
+//! Every map sizes its pool from [`effective_threads`]: the
+//! `TIN_THREADS` environment variable (read once, at first use) when set,
+//! else [`std::thread::available_parallelism`].
 //!
-//! 1. an explicit [`set_threads`] call (process-wide),
-//! 2. the `TIN_THREADS` environment variable (read once, at first use),
-//! 3. [`std::thread::available_parallelism`].
-//!
-//! `TIN_THREADS=1` (or `set_threads(1)`) forces every parallel stage onto
-//! the calling thread — the serial path stays exercised under the exact
-//! same code.
+//! `TIN_THREADS=1` forces every parallel stage onto the calling thread —
+//! the serial path stays exercised under the exact same code.
 
 #![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-
-/// Process-wide override installed by [`set_threads`] (0 = no override).
-static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// `TIN_THREADS` parsed once (0 = unset or unusable).
 static ENV_THREADS: OnceLock<usize> = OnceLock::new();
@@ -40,21 +33,10 @@ fn parse_threads(value: Option<&str>) -> Option<usize> {
         .filter(|&n| n > 0)
 }
 
-/// Sets the process-wide worker-pool size for every subsequent parallel
-/// map. `Some(n)` forces `n` threads (1 = fully serial); `None` removes the
-/// override, falling back to `TIN_THREADS` / hardware parallelism.
-pub fn set_threads(threads: Option<usize>) {
-    OVERRIDE.store(threads.unwrap_or(0), Ordering::Relaxed);
-}
-
 /// The worker-pool size every parallel map in this process will use:
-/// the [`set_threads`] override if present, else `TIN_THREADS`, else
-/// [`std::thread::available_parallelism`]. Always at least 1.
+/// `TIN_THREADS` if set, else [`std::thread::available_parallelism`].
+/// Always at least 1.
 pub fn effective_threads() -> usize {
-    let forced = OVERRIDE.load(Ordering::Relaxed);
-    if forced > 0 {
-        return forced;
-    }
     let env = *ENV_THREADS
         .get_or_init(|| parse_threads(std::env::var("TIN_THREADS").ok().as_deref()).unwrap_or(0));
     if env > 0 {
@@ -102,52 +84,6 @@ where
         .collect()
 }
 
-/// Like [`parallel_map`], but each item is visited through an exclusive
-/// `&mut` borrow — for stages that mutate a set of disjoint structures in
-/// place (e.g. applying per-shard deltas). `f` also receives the item's
-/// index. Result order matches input order.
-///
-/// Exclusivity without `unsafe`: each worker claims an index from the
-/// cursor exactly once and `take`s the `&mut` out of that index's cell, so
-/// no two workers can ever hold the same item.
-pub fn parallel_map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let threads = effective_threads().min(items.len());
-    if threads <= 1 {
-        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let work: Vec<Mutex<Option<&mut T>>> = items.iter_mut().map(|t| Mutex::new(Some(t))).collect();
-    let slots: Vec<Mutex<Option<R>>> = (0..work.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = work.get(i) else { break };
-                let item = cell
-                    .lock()
-                    .expect("work slot poisoned")
-                    .take()
-                    .expect("each index is claimed exactly once");
-                let result = f(i, item);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker completed every claimed index")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,19 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn map_mut_mutates_every_item_in_place() {
-        let mut items: Vec<Vec<u32>> = (0..64).map(|i| vec![i]).collect();
-        let sums = parallel_map_mut(&mut items, |i, v| {
-            v.push(i as u32 + 1);
-            v.iter().sum::<u32>()
-        });
-        for (i, v) in items.iter().enumerate() {
-            assert_eq!(v, &vec![i as u32, i as u32 + 1]);
-        }
-        assert_eq!(sums, (0..64).map(|i| 2 * i + 1).collect::<Vec<u32>>());
-    }
-
-    #[test]
     fn parse_threads_accepts_positive_integers_only() {
         assert_eq!(parse_threads(Some("4")), Some(4));
         assert_eq!(parse_threads(Some(" 2 ")), Some(2));
@@ -191,22 +114,5 @@ mod tests {
         assert_eq!(parse_threads(Some("-1")), None);
         assert_eq!(parse_threads(Some("many")), None);
         assert_eq!(parse_threads(None), None);
-    }
-
-    #[test]
-    fn set_threads_overrides_and_clears() {
-        // Runs in its own test process thread; the override is process-wide,
-        // so restore it before returning.
-        set_threads(Some(1));
-        assert_eq!(effective_threads(), 1);
-        let items: Vec<usize> = (0..32).collect();
-        assert_eq!(
-            parallel_map(&items, |&i| i + 1),
-            (1..33).collect::<Vec<_>>()
-        );
-        set_threads(Some(3));
-        assert_eq!(effective_threads(), 3);
-        set_threads(None);
-        assert!(effective_threads() >= 1);
     }
 }
