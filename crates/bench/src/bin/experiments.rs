@@ -3,13 +3,11 @@
 //! Usage:
 //!
 //! ```text
-//! experiments [section] [--quick] [--engine <dense|sparse|netflow|all>]
+//! experiments [section] [--quick]
 //!
 //! section: all | table4 | table5 | tables678 | fig11 | lpsolvers | patterns
 //!          | tables91011 | ingest | stream | window | warmflow | durability
 //! --quick:  run at the CI scale instead of the standard scale
-//! --engine: which exact engines the lpsolvers section measures
-//!           (default: all, cross-checked against each other)
 //! ```
 //!
 //! The `ingest` and `stream` sections are this reproduction's additions:
@@ -34,10 +32,9 @@
 
 use tin_bench::{
     bucket_experiment, flow_method_experiment, format_duration, lp_engine_experiment,
-    pattern_experiment, print_table, EngineSelection, ExperimentScale, Workload,
+    pattern_experiment, print_table, ExperimentScale, Workload,
 };
 use tin_datasets::{dataset_stats, subgraph_stats};
-use tin_lp::SimplexEngine;
 
 const SECTIONS: [&str; 13] = [
     "all",
@@ -106,43 +103,19 @@ mod alloc_probe {
 static ALLOCATOR: alloc_probe::CountingAllocator = alloc_probe::CountingAllocator;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let parse_engine = |value: &str| -> EngineSelection {
-        EngineSelection::parse(value).unwrap_or_else(|| {
-            eprintln!(
-                "error: unknown engine `{value}` (supported: dense | sparse | netflow | all)"
-            );
-            std::process::exit(2);
-        })
-    };
     let mut quick = false;
-    let mut engine = EngineSelection::All;
-    let mut section: Option<&str> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
+    let mut section: Option<String> = None;
+    for arg in std::env::args().skip(1) {
         if arg == "--quick" {
             quick = true;
-        } else if arg == "--engine" {
-            i += 1;
-            match args.get(i) {
-                Some(value) => engine = parse_engine(value),
-                None => {
-                    eprintln!("error: --engine needs a value (dense | sparse | netflow | all)");
-                    std::process::exit(2);
-                }
-            }
-        } else if let Some(value) = arg.strip_prefix("--engine=") {
-            engine = parse_engine(value);
         } else if arg.starts_with("--") {
-            eprintln!("error: unknown flag `{arg}` (supported: --quick, --engine <value>)");
+            eprintln!("error: unknown flag `{arg}` (supported: --quick)");
             std::process::exit(2);
         } else {
             section = Some(arg);
         }
-        i += 1;
     }
-    let section = section.unwrap_or("all");
+    let section = section.as_deref().unwrap_or("all");
     if !SECTIONS.contains(&section) {
         eprintln!(
             "error: unknown section `{section}` (supported: {})",
@@ -181,7 +154,7 @@ fn main() {
         fig11(&workloads);
     }
     if matches!(section, "all" | "lpsolvers") {
-        lpsolvers(&workloads, engine);
+        lpsolvers(&workloads);
     }
     if matches!(section, "all" | "patterns" | "tables91011") {
         tables91011(&workloads, if quick { 2_000 } else { 20_000 });
@@ -562,76 +535,54 @@ fn fig11(workloads: &[Workload]) {
     }
 }
 
-fn lpsolvers(workloads: &[Workload], selection: EngineSelection) {
-    let engines = selection.engines();
-    let short = |e: SimplexEngine| match e {
-        SimplexEngine::SparseRevised => "sparse",
-        SimplexEngine::DenseTableau => "dense",
-        SimplexEngine::NetworkSimplex => "netflow",
-    };
-    let with_speedup = engines.contains(&SimplexEngine::SparseRevised)
-        && engines.contains(&SimplexEngine::NetworkSimplex);
-    let with_density = engines.contains(&SimplexEngine::SparseRevised);
-    let mut header: Vec<String> = vec!["class".to_string(), "#subgraphs".to_string()];
-    for &e in &engines {
-        header.push(short(e).to_string());
-        header.push(format!("{} piv (deg)", short(e)));
-    }
-    if with_speedup {
-        header.push("netflow speedup".to_string());
-    }
-    if with_density {
-        header.push("density".to_string());
-    }
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-
+fn lpsolvers(workloads: &[Workload]) {
+    let header = [
+        "class",
+        "#subgraphs",
+        "sparse",
+        "sparse piv (deg)",
+        "netflow",
+        "netflow piv (deg)",
+        "netflow speedup",
+        "density",
+    ];
+    let pivots =
+        |s: &tin_bench::EngineStat| format!("{:.1} ({:.1})", s.pivots, s.degenerate_pivots);
     for w in workloads {
-        let rows: Vec<Vec<String>> = lp_engine_experiment(w, selection)
+        let rows: Vec<Vec<String>> = lp_engine_experiment(w)
             .iter()
             .map(|r| {
                 let mut cells = vec![r.label.to_string(), r.subgraphs.to_string()];
                 if r.subgraphs == 0 {
                     cells.extend(std::iter::repeat_n("-".to_string(), header.len() - 2));
                 } else {
-                    for stat in &r.engines {
-                        cells.push(format_duration(stat.avg));
-                        cells.push(format!(
-                            "{:.1} ({:.1})",
-                            stat.pivots, stat.degenerate_pivots
-                        ));
-                    }
-                    if with_speedup {
-                        cells.push(format!(
-                            "{:.1}x",
-                            r.speedup(SimplexEngine::SparseRevised, SimplexEngine::NetworkSimplex)
-                        ));
-                    }
-                    if with_density {
-                        cells.push(format!("{:.3}%", 100.0 * r.density));
-                    }
+                    cells.extend([
+                        format_duration(r.sparse.avg),
+                        pivots(&r.sparse),
+                        format_duration(r.netflow.avg),
+                        pivots(&r.netflow),
+                        format!("{:.1}x", r.speedup()),
+                        format!("{:.3}%", 100.0 * r.density),
+                    ]);
                 }
                 cells
             })
             .collect();
-        let names: Vec<&str> = engines.iter().map(|&e| short(e)).collect();
         print_table(
             &format!(
-                "Exact engines ({}): formulate+solve per subgraph — {}",
-                names.join(" vs "),
+                "Exact engines (sparse vs netflow): formulate+solve per subgraph — {}",
                 w.kind.name()
             ),
-            &header_refs,
+            &header,
             &rows,
         );
     }
-    if with_speedup {
-        println!(
-            "(netflow = direct graph -> min-cost-flow emitter + network simplex, no LP \
-             assembly; speedup = sparse avg / netflow avg; piv (deg) = avg basis-changing \
-             pivots and, in parentheses, zero-step pivots per subgraph; every subgraph's \
-             optimal values are asserted to agree across engines)"
-        );
-    }
+    println!(
+        "(netflow = direct graph -> min-cost-flow emitter + network simplex, no LP \
+         assembly; speedup = sparse avg / netflow avg; piv (deg) = avg basis-changing \
+         pivots and, in parentheses, zero-step pivots per subgraph; every subgraph's \
+         optimal values are asserted to agree across engines)"
+    );
 }
 
 fn tables91011(workloads: &[Workload], instance_limit: usize) {

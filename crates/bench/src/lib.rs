@@ -25,7 +25,7 @@ pub mod workloads;
 pub use durability_experiments::{durability_experiment, DurabilityMeasurement};
 pub use flow_experiments::{
     bucket_experiment, flow_method_experiment, lp_engine_experiment, BucketRow, EngineClassRow,
-    EngineSelection, EngineStat, FlowTable, MethodTiming,
+    EngineStat, FlowTable, MethodTiming,
 };
 pub use ingest_experiments::{assert_ingest_equivalent, ingest_csv, to_csv, IngestMeasurement};
 pub use pattern_experiments::{pattern_experiment, PatternTableRow};

@@ -23,8 +23,9 @@
 //!
 //! The constraint matrix this produces is extremely sparse — each variable
 //! appears in one balance row per downstream departure of its endpoint —
-//! which is why the [`tin_lp::SimplexEngine::SparseRevised`] engine beats
-//! the dense tableau by a wide margin on class C subgraphs.
+//! which is why it is solved with the sparse revised simplex
+//! ([`tin_lp::SimplexEngine::SparseRevised`]), whose per-iteration work
+//! tracks the nonzero count rather than `rows × columns`.
 //!
 //! The class C **hot path** no longer assembles this LP at all: the same
 //! flow problem is a pure min-cost circulation on the time-expanded
@@ -32,7 +33,8 @@
 //! [`MinCostFlowProblem`] for the network simplex
 //! ([`tin_lp::SimplexEngine::NetworkSimplex`]) — see [`McfFormulation`].
 //! The balance-row LP remains the cross-check oracle form for the sparse
-//! and dense engines.
+//! engine, and the time-expanded Dinic max-flow of `tin_maxflow` is the
+//! third, independent oracle both are tested against.
 
 use crate::error::FlowError;
 use std::cmp::Ordering;
@@ -66,7 +68,8 @@ pub struct LpOutcome {
     pub constraints: usize,
     /// Simplex iterations performed (pivots plus bound flips).
     pub iterations: usize,
-    /// Basis refactorizations performed (0 for the dense engine).
+    /// Basis refactorizations performed (0 for the network simplex, which
+    /// has no factorized basis).
     pub refactorizations: usize,
     /// Nonzero coefficients in the constraint matrix.
     pub nonzeros: usize,
@@ -198,14 +201,10 @@ pub fn build_lp(graph: &TemporalGraph, source: NodeId, sink: NodeId) -> LpFormul
 }
 
 impl LpFormulation {
-    /// Solves the program and interprets the result as a maximum flow value.
+    /// Solves the program with the sparse revised simplex and interprets
+    /// the result as a maximum flow value.
     pub fn solve(&self) -> Result<(LpOutcome, LpSolution), FlowError> {
-        self.solve_with(self.problem.engine())
-    }
-
-    /// Solves the program with an explicitly chosen engine.
-    pub fn solve_with(&self, engine: SimplexEngine) -> Result<(LpOutcome, LpSolution), FlowError> {
-        let solution = self.problem.solve_with(engine);
+        let solution = self.problem.solve();
         if solution.status != LpStatus::Optimal {
             return Err(FlowError::LpFailed(solution.status));
         }
@@ -217,7 +216,7 @@ impl LpFormulation {
             refactorizations: solution.refactorizations,
             nonzeros: solution.matrix_nonzeros,
             density: solution.matrix_density,
-            engine: solution.engine,
+            engine: SimplexEngine::SparseRevised,
             pivots: solution.pivots,
             degenerate_pivots: solution.degenerate_pivots,
         };
@@ -812,8 +811,8 @@ pub fn netflow_max_flow(
 
 /// Builds and solves the exact flow problem with the chosen engine:
 /// [`SimplexEngine::NetworkSimplex`] takes the direct min-cost-flow path
-/// ([`build_mcf`], no LP assembly at all); the sparse and dense engines
-/// solve the balance-row LP of [`build_lp`].
+/// ([`build_mcf`], no LP assembly at all); [`SimplexEngine::SparseRevised`]
+/// solves the balance-row LP of [`build_lp`].
 pub fn max_flow_with_engine(
     graph: &TemporalGraph,
     source: NodeId,
@@ -822,9 +821,7 @@ pub fn max_flow_with_engine(
 ) -> Result<LpOutcome, FlowError> {
     match engine {
         SimplexEngine::NetworkSimplex => netflow_max_flow(graph, source, sink),
-        other => build_lp(graph, source, sink)
-            .solve_with(other)
-            .map(|(o, _)| o),
+        SimplexEngine::SparseRevised => lp_max_flow(graph, source, sink),
     }
 }
 
@@ -999,14 +996,15 @@ mod tests {
 
     #[test]
     fn both_engines_agree_on_the_formulation() {
-        use tin_lp::SimplexEngine;
         let (g, s, t) = figure3();
         let f = build_lp(&g, s, t);
-        let sparse = f.problem.solve_with(SimplexEngine::SparseRevised);
-        let dense = f.problem.solve_with(SimplexEngine::DenseTableau);
-        assert!(sparse.is_optimal() && dense.is_optimal());
-        assert!((sparse.objective - dense.objective).abs() < 1e-6);
-        assert!((sparse.objective + f.fixed_flow - 5.0).abs() < 1e-6);
+        let sparse = f.problem.solve();
+        assert!(sparse.is_optimal());
+        assert_close(
+            sparse.objective + f.fixed_flow,
+            time_expanded_max_flow(&g, s, t),
+        );
+        assert_close(sparse.objective + f.fixed_flow, 5.0);
     }
 
     #[test]
@@ -1045,12 +1043,10 @@ mod tests {
         let (g, s, t) = figure3();
         let netflow = max_flow_with_engine(&g, s, t, SimplexEngine::NetworkSimplex).unwrap();
         let sparse = max_flow_with_engine(&g, s, t, SimplexEngine::SparseRevised).unwrap();
-        let dense = max_flow_with_engine(&g, s, t, SimplexEngine::DenseTableau).unwrap();
         assert_close(netflow.flow, sparse.flow);
-        assert_close(netflow.flow, dense.flow);
+        assert_close(netflow.flow, time_expanded_max_flow(&g, s, t));
         assert_eq!(netflow.engine, SimplexEngine::NetworkSimplex);
         assert_eq!(sparse.engine, SimplexEngine::SparseRevised);
-        assert_eq!(dense.engine, SimplexEngine::DenseTableau);
     }
 
     #[test]

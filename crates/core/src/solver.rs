@@ -118,7 +118,7 @@ pub struct SolveStats {
     /// Simplex iterations — pivots plus bound flips (when the LP ran).
     pub lp_iterations: Option<usize>,
     /// Basis refactorizations performed by the revised simplex (when the LP
-    /// ran; 0 under the dense fallback engine).
+    /// ran; 0 under the network simplex).
     pub lp_refactorizations: Option<usize>,
     /// Nonzero coefficients in the LP constraint matrix (when the LP ran).
     pub lp_nonzeros: Option<usize>,
@@ -129,8 +129,8 @@ pub struct SolveStats {
     /// the sparse revised simplex the right default for the hard cases.
     pub lp_density: Option<f64>,
     /// Which engine solved the exact subproblem (when one ran). The default
-    /// pipeline routes class C through the network simplex; the general LP
-    /// engines remain available as cross-check oracles via
+    /// pipeline routes class C through the network simplex; the sparse
+    /// revised simplex remains available as the cross-check oracle via
     /// [`compute_flow_with_engine`].
     pub lp_engine: Option<SimplexEngine>,
     /// Basis-changing pivots performed by the engine (when one ran).
@@ -210,8 +210,8 @@ pub fn compute_flow(
 ///
 /// [`SimplexEngine::NetworkSimplex`] — the default used by [`compute_flow`] —
 /// skips the general LP assembly entirely and solves the time-expanded
-/// min-cost circulation directly; the sparse and dense simplex engines are
-/// retained unchanged as cross-check oracles.
+/// min-cost circulation directly; [`SimplexEngine::SparseRevised`] solves
+/// the Section 4.2.1 LP and is kept as the cross-check oracle.
 pub fn compute_flow_with_engine(
     graph: &TemporalGraph,
     source: NodeId,
@@ -467,11 +467,7 @@ mod tests {
     #[test]
     fn every_engine_solves_class_c_identically() {
         let (g, s, t) = figure3();
-        for engine in [
-            SimplexEngine::NetworkSimplex,
-            SimplexEngine::SparseRevised,
-            SimplexEngine::DenseTableau,
-        ] {
+        for engine in [SimplexEngine::NetworkSimplex, SimplexEngine::SparseRevised] {
             for method in [FlowMethod::Lp, FlowMethod::Pre, FlowMethod::PreSim] {
                 let r = compute_flow_with_engine(&g, s, t, method, engine).unwrap();
                 assert_close(r.flow, 5.0);

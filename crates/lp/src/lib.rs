@@ -4,9 +4,8 @@
 //! substrate for maximum flow computation in temporal interaction networks.
 //!
 //! The paper solves its maximum-flow formulation with the `lpsolve` C
-//! library; this crate provides an equivalent exact solver implemented from
-//! scratch. Three interchangeable engines share one problem representation
-//! (see [`SimplexEngine`]):
+//! library; this crate provides equivalent exact solvers implemented from
+//! scratch. Two engines (see [`SimplexEngine`]):
 //!
 //! * [`netflow`] — a **network simplex** over min-cost-flow structure
 //!   ([`netflow::MinCostFlowProblem`]): the basis is an explicit spanning
@@ -14,17 +13,16 @@
 //!   one cycle in O(tree depth), strongly feasible trees prevent cycling,
 //!   and pricing scans a candidate-list block. This is what the class C
 //!   flow hot path runs on;
-//! * [`simplex`] — the general-LP default, a **sparse revised simplex**:
+//! * [`simplex`] — the general-LP engine behind [`LpProblem::solve`], a
+//!   **sparse revised simplex**:
 //!   the constraint matrix lives in a compressed-sparse-column store
 //!   ([`sparse::CscMatrix`]), the basis inverse in a product-form eta file
 //!   ([`sparse::EtaFile`]) with periodic refactorization, pricing is
 //!   Dantzig's rule over a partial-pricing section scan, and variable upper
 //!   bounds are handled natively by the bounded ratio test (no row per
-//!   bound);
-//! * [`dense`] — the original **dense two-phase tableau** (Dantzig pricing,
-//!   Bland's-rule anti-cycling fallback), kept as an independent
-//!   implementation for property-based cross-checking and as a baseline the
-//!   benches compare against.
+//!   bound). It is the exact oracle the network simplex is cross-checked
+//!   against, and its own optima are certified by LP duality in the
+//!   property tests (`tests/engine_equivalence.rs`).
 //!
 //! The flow LP's constraint matrix is extremely sparse — each interaction
 //! variable appears in a handful of balance rows — which is exactly the
@@ -53,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dense;
 pub mod netflow;
 pub mod problem;
 pub mod simplex;

@@ -1,7 +1,5 @@
 //! Construction of linear programs.
 
-use crate::dense;
-use crate::netflow;
 use crate::simplex;
 use crate::solution::LpSolution;
 
@@ -27,25 +25,16 @@ pub enum Sense {
     Minimize,
 }
 
-/// Which simplex implementation solves the program.
+/// Which exact engine produced a solution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimplexEngine {
     /// The sparse revised simplex (product-form basis, partial pricing,
-    /// native variable bounds) — the default.
+    /// native variable bounds) over a general [`LpProblem`] — what
+    /// [`LpProblem::solve`] runs.
     #[default]
     SparseRevised,
-    /// The dense two-phase full-tableau simplex kept as a cross-checking
-    /// fallback; variable upper bounds are expanded into explicit `≤` rows
-    /// before it runs.
-    DenseTableau,
-    /// The network simplex over a spanning-tree basis. It applies when the
-    /// program has pure min-cost-flow structure (every row an equality,
-    /// every variable one `+1` and one `−1` coefficient — see
-    /// [`crate::netflow::MinCostFlowProblem::from_lp`]); other programs
-    /// silently fall back to [`SimplexEngine::SparseRevised`], which the
-    /// returned [`LpSolution::engine`](crate::LpSolution) field records.
-    /// The flow hot path skips the LP form entirely and feeds
-    /// [`crate::netflow::MinCostFlowProblem`] directly.
+    /// The network simplex over a spanning-tree basis, fed a
+    /// [`crate::netflow::MinCostFlowProblem`] directly (the flow hot path).
     NetworkSimplex,
 }
 
@@ -85,7 +74,6 @@ pub struct LpProblem {
     pub(crate) row_meta: Vec<RowMeta>,
     /// Maximum simplex iterations before giving up (safety valve).
     pub max_iterations: usize,
-    engine: SimplexEngine,
 }
 
 impl LpProblem {
@@ -100,7 +88,6 @@ impl LpProblem {
             entries: Vec::new(),
             row_meta: Vec::new(),
             max_iterations: 0, // 0 = automatic (scaled with problem size)
-            engine: SimplexEngine::default(),
         }
     }
 
@@ -130,30 +117,32 @@ impl LpProblem {
         self.sense
     }
 
-    /// Selects the simplex implementation used by [`LpProblem::solve`]
-    /// (default: [`SimplexEngine::SparseRevised`]).
-    pub fn set_engine(&mut self, engine: SimplexEngine) {
-        self.engine = engine;
-    }
-
-    /// The simplex implementation used by [`LpProblem::solve`].
-    pub fn engine(&self) -> SimplexEngine {
-        self.engine
-    }
-
     /// Sets the objective coefficient of variable `var`.
     ///
     /// # Panics
-    /// Panics if `var` is out of range.
+    /// Panics if `var` is out of range or `coeff` is not finite.
     pub fn set_objective_coefficient(&mut self, var: usize, coeff: f64) {
         assert!(var < self.num_vars, "variable index {var} out of range");
+        assert!(
+            coeff.is_finite(),
+            "objective coefficient must be finite, got {coeff}"
+        );
         self.objective[var] = coeff;
     }
 
     /// Adds `delta` to the objective coefficient of variable `var`.
+    ///
+    /// # Panics
+    /// Panics if `var` is out of range or the resulting coefficient is not
+    /// finite.
     pub fn add_objective_coefficient(&mut self, var: usize, delta: f64) {
         assert!(var < self.num_vars, "variable index {var} out of range");
-        self.objective[var] += delta;
+        let coeff = self.objective[var] + delta;
+        assert!(
+            coeff.is_finite(),
+            "objective coefficient must be finite, got {coeff}"
+        );
+        self.objective[var] = coeff;
     }
 
     /// The dense objective vector.
@@ -226,19 +215,9 @@ impl LpProblem {
         &self.upper
     }
 
-    /// Solves the program with the configured engine (the sparse revised
-    /// simplex unless [`LpProblem::set_engine`] said otherwise).
+    /// Solves the program with the sparse revised simplex.
     pub fn solve(&self) -> LpSolution {
-        self.solve_with(self.engine)
-    }
-
-    /// Solves the program with an explicitly chosen engine.
-    pub fn solve_with(&self, engine: SimplexEngine) -> LpSolution {
-        match engine {
-            SimplexEngine::SparseRevised => simplex::solve(self),
-            SimplexEngine::DenseTableau => dense::solve(self),
-            SimplexEngine::NetworkSimplex => netflow::solve_lp(self),
-        }
+        simplex::solve(self)
     }
 
     /// Evaluates the objective at a given point (useful for checking
@@ -300,9 +279,6 @@ mod tests {
         assert_eq!(p.sense(), Sense::Maximize);
         p.set_sense(Sense::Minimize);
         assert_eq!(p.sense(), Sense::Minimize);
-        assert_eq!(p.engine(), SimplexEngine::SparseRevised);
-        p.set_engine(SimplexEngine::DenseTableau);
-        assert_eq!(p.engine(), SimplexEngine::DenseTableau);
     }
 
     #[test]
@@ -334,6 +310,21 @@ mod tests {
     fn out_of_range_constraint_panics() {
         let mut p = LpProblem::new(1);
         p.add_le_constraint(&[(3, 1.0)], 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be finite")]
+    fn nan_objective_coefficient_panics() {
+        let mut p = LpProblem::new(1);
+        p.set_objective_coefficient(0, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be finite")]
+    fn overflowing_objective_increment_panics() {
+        let mut p = LpProblem::new(1);
+        p.set_objective_coefficient(0, f64::MAX);
+        p.add_objective_coefficient(0, f64::MAX);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Sparse revised simplex with bounded variables — the default engine.
+//! Sparse revised simplex with bounded variables — the general-LP engine.
 //!
-//! Where the dense tableau ([`crate::dense`]) updates an `m × n` matrix on
-//! every pivot, the revised method keeps only:
+//! Where a textbook full-tableau simplex updates an `m × n` matrix on every
+//! pivot, the revised method keeps only:
 //!
 //! * the constraint matrix in compressed-sparse-column form (built once,
 //!   never modified);
@@ -23,13 +23,13 @@
 //! per-interaction capacities `xᵢ ≤ qᵢ` therefore cost nothing: they are
 //! bounds, not rows.
 //!
-//! Feasibility is established the same way as in the dense engine: rows are
+//! Feasibility is established by the two-phase method: rows are
 //! normalized to non-negative right-hand sides, `≥`/`=` rows get artificial
 //! variables, and phase 1 maximizes minus their sum. After phase 1 the
 //! artificials' upper bounds are fixed to 0, which lets the bounded ratio
 //! test expel any that linger in the basis without special-casing them.
 
-use crate::problem::{ConstraintOp, LpProblem, Sense, SimplexEngine};
+use crate::problem::{ConstraintOp, LpProblem, Sense};
 use crate::solution::{LpSolution, LpStatus};
 use crate::sparse::{CscMatrix, EtaFile};
 
@@ -471,7 +471,6 @@ impl<'a> Solver<'a> {
     }
 
     fn telemetry(&self, mut s: LpSolution) -> LpSolution {
-        s.engine = SimplexEngine::SparseRevised;
         s.pivots = self.pivots;
         s.degenerate_pivots = self.degenerate;
         s.refactorizations = self.refactorizations;
@@ -583,23 +582,11 @@ pub fn solve(problem: &LpProblem) -> LpSolution {
 
 #[cfg(test)]
 mod tests {
-    use crate::problem::{LpProblem, Sense, SimplexEngine};
+    use crate::problem::{LpProblem, Sense};
     use crate::solution::LpStatus;
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "expected {b}, got {a}");
-    }
-
-    /// Runs the same program through both engines and checks they agree
-    /// before returning the sparse solution.
-    fn solve_both(p: &LpProblem) -> crate::solution::LpSolution {
-        let sparse = p.solve_with(SimplexEngine::SparseRevised);
-        let dense = p.solve_with(SimplexEngine::DenseTableau);
-        assert_eq!(sparse.status, dense.status, "engine status disagreement");
-        if sparse.status == LpStatus::Optimal {
-            assert_close(sparse.objective, dense.objective);
-        }
-        sparse
     }
 
     #[test]
@@ -611,7 +598,7 @@ mod tests {
         p.add_le_constraint(&[(0, 1.0), (1, 1.0)], 4.0);
         p.set_upper_bound(0, 2.0);
         p.set_upper_bound(1, 3.0);
-        let s = solve_both(&p);
+        let s = p.solve();
         assert_eq!(s.status, LpStatus::Optimal);
         assert_close(s.objective, 10.0);
         assert_close(s.variables[0], 2.0);
@@ -627,7 +614,7 @@ mod tests {
         p.set_objective_coefficient(1, 4.0);
         p.add_le_constraint(&[(0, 6.0), (1, 4.0)], 24.0);
         p.add_le_constraint(&[(0, 1.0), (1, 2.0)], 6.0);
-        let s = solve_both(&p);
+        let s = p.solve();
         assert_eq!(s.status, LpStatus::Optimal);
         assert_close(s.objective, 21.0);
         assert_close(s.variables[0], 3.0);
@@ -643,7 +630,7 @@ mod tests {
         p.set_objective_coefficient(1, 3.0);
         p.add_ge_constraint(&[(0, 1.0), (1, 1.0)], 10.0);
         p.add_ge_constraint(&[(0, 1.0)], 3.0);
-        let s = solve_both(&p);
+        let s = p.solve();
         assert_eq!(s.status, LpStatus::Optimal);
         assert_close(s.objective, 20.0);
         assert_close(s.variables[0], 10.0);
@@ -658,7 +645,7 @@ mod tests {
         p.set_objective_coefficient(1, 1.0);
         p.add_eq_constraint(&[(0, 1.0), (1, 1.0)], 5.0);
         p.set_upper_bound(0, 3.0);
-        let s = solve_both(&p);
+        let s = p.solve();
         assert_eq!(s.status, LpStatus::Optimal);
         assert_close(s.objective, 5.0);
         assert!(p.is_feasible(&s.variables, 1e-7));
@@ -671,7 +658,7 @@ mod tests {
         p.set_objective_coefficient(0, 1.0);
         p.add_le_constraint(&[(0, 1.0)], 1.0);
         p.add_ge_constraint(&[(0, 1.0)], 2.0);
-        assert_eq!(solve_both(&p).status, LpStatus::Infeasible);
+        assert_eq!(p.solve().status, LpStatus::Infeasible);
     }
 
     #[test]
@@ -680,7 +667,7 @@ mod tests {
         let mut p = LpProblem::new(1);
         p.set_upper_bound(0, 1.0);
         p.add_ge_constraint(&[(0, 1.0)], 2.0);
-        assert_eq!(solve_both(&p).status, LpStatus::Infeasible);
+        assert_eq!(p.solve().status, LpStatus::Infeasible);
     }
 
     #[test]
@@ -689,7 +676,7 @@ mod tests {
         let mut p = LpProblem::new(1);
         p.set_objective_coefficient(0, 1.0);
         p.add_ge_constraint(&[(0, 1.0)], 1.0);
-        assert_eq!(solve_both(&p).status, LpStatus::Unbounded);
+        assert_eq!(p.solve().status, LpStatus::Unbounded);
     }
 
     #[test]
@@ -698,7 +685,7 @@ mod tests {
         p.set_objective_coefficient(0, 1.0);
         p.add_ge_constraint(&[(0, 1.0)], 1.0);
         p.set_upper_bound(0, 7.5);
-        let s = solve_both(&p);
+        let s = p.solve();
         assert_eq!(s.status, LpStatus::Optimal);
         assert_close(s.objective, 7.5);
     }
@@ -707,11 +694,11 @@ mod tests {
     fn unconstrained_problems() {
         let mut p = LpProblem::new(2);
         p.set_objective_coefficient(0, 1.0);
-        assert_eq!(solve_both(&p).status, LpStatus::Unbounded);
+        assert_eq!(p.solve().status, LpStatus::Unbounded);
 
         let mut p = LpProblem::new(2);
         p.set_objective_coefficient(0, -1.0);
-        let s = solve_both(&p);
+        let s = p.solve();
         assert_eq!(s.status, LpStatus::Optimal);
         assert_close(s.objective, 0.0);
         assert_eq!(s.variables, vec![0.0, 0.0]);
@@ -726,7 +713,7 @@ mod tests {
         p.set_upper_bound(0, 4.0);
         p.set_upper_bound(1, 9.0);
         p.set_upper_bound(2, 1.0);
-        let s = solve_both(&p);
+        let s = p.solve();
         assert_eq!(s.status, LpStatus::Optimal);
         assert_close(s.objective, 8.0);
         assert_close(s.variables[0], 4.0);
@@ -743,7 +730,7 @@ mod tests {
         p.add_le_constraint(&[(0, -1.0), (1, -1.0)], -4.0);
         p.set_upper_bound(0, 3.0);
         p.set_upper_bound(1, 3.0);
-        let s = solve_both(&p);
+        let s = p.solve();
         assert_eq!(s.status, LpStatus::Optimal);
         assert_close(s.objective, 6.0);
     }
@@ -759,7 +746,7 @@ mod tests {
         p.add_le_constraint(&[(0, 0.25), (1, -60.0), (2, -0.04), (3, 9.0)], 0.0);
         p.add_le_constraint(&[(0, 0.5), (1, -90.0), (2, -0.02), (3, 3.0)], 0.0);
         p.add_le_constraint(&[(2, 1.0)], 1.0);
-        let s = solve_both(&p);
+        let s = p.solve();
         assert_eq!(s.status, LpStatus::Optimal);
         assert_close(s.objective, 0.05);
     }
@@ -771,7 +758,7 @@ mod tests {
         p.set_objective_coefficient(0, 1.0);
         p.add_eq_constraint(&[(0, 1.0), (1, -1.0)], 0.0);
         p.set_upper_bound(1, 2.0);
-        let s = solve_both(&p);
+        let s = p.solve();
         assert_eq!(s.status, LpStatus::Optimal);
         assert_close(s.objective, 2.0);
     }
@@ -792,7 +779,7 @@ mod tests {
         // Encourage upstream saturation (not required, but mirrors x_i = q_i
         // for source interactions).
         p.add_ge_constraint(&[(0, 1.0)], 5.0);
-        let s = solve_both(&p);
+        let s = p.solve();
         assert_eq!(s.status, LpStatus::Optimal);
         assert_close(s.objective, 4.0);
     }
@@ -807,7 +794,7 @@ mod tests {
         }
         p.set_upper_bound(0, 4.0);
         p.set_upper_bound(1, 4.0);
-        let s = solve_both(&p);
+        let s = p.solve();
         assert_eq!(s.status, LpStatus::Optimal);
         assert_close(s.objective, 7.0);
     }
@@ -820,7 +807,7 @@ mod tests {
         p.add_eq_constraint(&[(0, 1.0), (1, 1.0)], 4.0);
         p.add_eq_constraint(&[(0, 1.0), (1, 1.0)], 4.0);
         p.add_eq_constraint(&[(0, 1.0), (1, -1.0)], 0.0);
-        let s = solve_both(&p);
+        let s = p.solve();
         assert_eq!(s.status, LpStatus::Optimal);
         assert_close(s.objective, 2.0);
         assert_close(s.variables[1], 2.0);
@@ -835,7 +822,7 @@ mod tests {
         p.set_upper_bound(0, 0.0);
         p.set_upper_bound(1, 3.0);
         p.add_le_constraint(&[(0, 1.0), (1, 1.0)], 10.0);
-        let s = solve_both(&p);
+        let s = p.solve();
         assert_eq!(s.status, LpStatus::Optimal);
         assert_close(s.objective, 3.0);
         assert_close(s.variables[0], 0.0);
@@ -844,8 +831,8 @@ mod tests {
     #[test]
     fn larger_random_feasible_program_is_solved_and_feasible() {
         // A pseudo-random but deterministic LP; we only assert that the
-        // solver terminates with a feasible optimal point matching the
-        // dense engine.
+        // solver terminates with a feasible optimal point whose objective
+        // matches its reported value.
         let n = 12;
         let mut p = LpProblem::new(n);
         let mut state = 42u64;
@@ -853,7 +840,7 @@ mod tests {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64) / (u32::MAX as f64)
+            (state >> 11) as f64 / (1u64 << 53) as f64
         };
         for j in 0..n {
             p.set_objective_coefficient(j, next());
@@ -863,7 +850,7 @@ mod tests {
             let coeffs: Vec<(usize, f64)> = (0..n).map(|j| (j, next())).collect();
             p.add_le_constraint(&coeffs, 3.0 + 5.0 * next());
         }
-        let s = solve_both(&p);
+        let s = p.solve();
         assert_eq!(s.status, LpStatus::Optimal);
         assert!(p.is_feasible(&s.variables, 1e-6));
         assert!(s.objective >= -1e-9);
@@ -884,7 +871,7 @@ mod tests {
             p.add_le_constraint(&[(j, 1.0), (j - 1, -1.0)], 0.0);
         }
         p.add_ge_constraint(&[(0, 1.0)], 5.0);
-        let s = p.solve_with(SimplexEngine::SparseRevised);
+        let s = p.solve();
         assert_eq!(s.status, LpStatus::Optimal);
         assert_close(s.objective, 5.0);
         assert!(
@@ -895,18 +882,5 @@ mod tests {
         );
         // Telemetry reflects a genuinely sparse matrix.
         assert!(s.matrix_density < 0.05, "density {}", s.matrix_density);
-    }
-
-    #[test]
-    fn telemetry_reports_the_engine() {
-        let mut p = LpProblem::new(1);
-        p.set_objective_coefficient(0, 1.0);
-        p.set_upper_bound(0, 1.0);
-        p.add_le_constraint(&[(0, 1.0)], 1.0);
-        let s = p.solve_with(SimplexEngine::SparseRevised);
-        assert_eq!(s.engine, SimplexEngine::SparseRevised);
-        let d = p.solve_with(SimplexEngine::DenseTableau);
-        assert_eq!(d.engine, SimplexEngine::DenseTableau);
-        assert_close(s.objective, d.objective);
     }
 }

@@ -1,7 +1,5 @@
 //! Solver results.
 
-use crate::problem::SimplexEngine;
-
 /// Outcome of a simplex run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LpStatus {
@@ -16,13 +14,13 @@ pub enum LpStatus {
     /// formulation; reported rather than panicking).
     IterationLimit,
     /// The basis matrix became numerically singular and refactorization
-    /// could not recover it (sparse revised engine only; reported rather
+    /// could not recover it (sparse revised simplex only; reported rather
     /// than panicking).
     NumericalFailure,
 }
 
 /// Solution of a linear program, with enough telemetry to see *how* it was
-/// solved (engine, pivot counts, basis refactorizations, matrix sparsity).
+/// solved (pivot counts, basis refactorizations, matrix sparsity).
 #[derive(Debug, Clone)]
 pub struct LpSolution {
     /// Termination status.
@@ -34,23 +32,18 @@ pub struct LpSolution {
     /// [`LpStatus::Optimal`]).
     pub variables: Vec<f64>,
     /// Number of simplex iterations performed across both phases (pivots
-    /// plus, for the revised engine, bound flips).
+    /// plus bound flips).
     pub iterations: usize,
-    /// Number of basis refactorizations performed (always 0 for the dense
-    /// tableau engine, which has no factorized basis).
+    /// Number of basis refactorizations performed.
     pub refactorizations: usize,
-    /// Which engine produced this solution.
-    pub engine: SimplexEngine,
-    /// Nonzero entries in the constraint matrix the engine actually solved
-    /// (the dense engine counts its bound-expanded rows).
+    /// Nonzero entries in the constraint matrix (variable bounds are not
+    /// rows and add none).
     pub matrix_nonzeros: usize,
     /// `matrix_nonzeros` over the dense row × column size (0 for empty
     /// programs) — the observability hook for "how sparse was this LP".
     pub matrix_density: f64,
-    /// Basis-changing (or bound-flipping) pivots. For the dense tableau
-    /// this equals `iterations`; the revised engine also counts bound
-    /// flips in `iterations` but not here; the network simplex counts
-    /// spanning-tree pivots.
+    /// Basis-changing pivots (`iterations` also counts bound flips; this
+    /// does not).
     pub pivots: usize,
     /// Pivots whose step length was (numerically) zero — the degeneracy
     /// observability hook for the engine-comparison tables.
@@ -67,7 +60,6 @@ impl LpSolution {
             variables: Vec::new(),
             iterations,
             refactorizations: 0,
-            engine: SimplexEngine::SparseRevised,
             matrix_nonzeros: 0,
             matrix_density: 0.0,
             pivots: 0,
@@ -100,6 +92,5 @@ mod tests {
             ..LpSolution::with_status(LpStatus::Optimal, 1)
         };
         assert!(o.is_optimal());
-        assert_eq!(o.engine, SimplexEngine::SparseRevised);
     }
 }

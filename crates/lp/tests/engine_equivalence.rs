@@ -1,19 +1,157 @@
-//! Property-based cross-check of the three exact engines.
+//! Property-based certification of the two exact engines.
 //!
-//! The sparse revised simplex (the general-LP default), the dense two-phase
-//! tableau (the fallback) and the network simplex are independent
-//! implementations sharing only the problem representations. On randomized
-//! flow-shaped LPs the two LP engines must agree on status and, when
-//! optimal, on the objective value with both returned points feasible. On
-//! randomized bounded min-cost-flow instances all **three** engines are
-//! held to the same bar: the network simplex solves the instance directly
-//! while the LP engines solve its [`MinCostFlowProblem::to_lp`] image, and
-//! status, optimal value and primal feasibility must line up — including
-//! degenerate/zero-capacity, infeasible and unbounded instances. Directed
-//! tests pin those corners explicitly.
+//! The sparse revised simplex (the general-LP engine) and the network
+//! simplex are independent implementations sharing only the problem
+//! representations. The sparse engine's verdicts are *certified* by LP
+//! duality: every generated program is kept row-wise, its dual is written
+//! down and solved too, and duality must hold (optimal ⇒ dual optimal with
+//! an equal objective, both points feasible; infeasible ⇒ dual unbounded
+//! or infeasible; unbounded ⇒ dual infeasible). On randomized min-cost-flow
+//! instances the network simplex solves the instance directly while the
+//! sparse engine solves its [`MinCostFlowProblem::to_lp`] image, which is
+//! certified the same way — a three-way check including degenerate,
+//! zero-capacity, infeasible and unbounded instances. Directed tests pin
+//! those corners explicitly.
 
 use proptest::prelude::*;
-use tin_lp::{LpProblem, LpStatus, MinCostFlowProblem, SimplexEngine};
+use tin_lp::{ConstraintOp, LpProblem, LpSolution, LpStatus, MinCostFlowProblem, Sense};
+
+/// One constraint row: sparse coefficients, operator, right-hand side.
+type Row = (Vec<(usize, f64)>, ConstraintOp, f64);
+
+/// A linear program kept row-wise, so that its dual can be written down.
+#[derive(Debug, Clone, Default)]
+struct RowLp {
+    sense: Sense,
+    objective: Vec<f64>,
+    upper: Vec<f64>,
+    rows: Vec<Row>,
+}
+
+impl RowLp {
+    /// `+1` for maximization, `−1` for minimization.
+    fn sign(&self) -> f64 {
+        if self.sense == Sense::Minimize {
+            -1.0
+        } else {
+            1.0
+        }
+    }
+
+    fn to_problem(&self) -> LpProblem {
+        let mut p = LpProblem::new(self.objective.len());
+        p.set_sense(self.sense);
+        for (j, (&c, &u)) in self.objective.iter().zip(&self.upper).enumerate() {
+            p.set_objective_coefficient(j, c);
+            if u.is_finite() {
+                p.set_upper_bound(j, u);
+            }
+        }
+        for (coeffs, op, rhs) in &self.rows {
+            p.add_constraint(coeffs, *op, *rhs);
+        }
+        p
+    }
+
+    /// The dual of `max s·c·x  s.t.  A x {≤,≥,=} b,  0 ≤ x ≤ u` (`s = −1`
+    /// for [`Sense::Minimize`]): `min b·y + u·w  s.t.  Aᵀy + w ≥ s·c`, with
+    /// `y ≥ 0` on `≤` rows, `y ≤ 0` on `≥` rows (stored negated), `y` free
+    /// on `=` rows (split `y⁺ − y⁻`), and `w ≥ 0` only for finite bounds.
+    fn dual(&self) -> LpProblem {
+        // Per dual variable: (primal row, sign of y it stands for).
+        let mut y = Vec::new();
+        for (i, (_, op, _)) in self.rows.iter().enumerate() {
+            match op {
+                ConstraintOp::Le => y.push((i, 1.0)),
+                ConstraintOp::Ge => y.push((i, -1.0)),
+                ConstraintOp::Eq => y.extend([(i, 1.0), (i, -1.0)]),
+            }
+        }
+        let bounded: Vec<usize> = (0..self.upper.len())
+            .filter(|&j| self.upper[j].is_finite())
+            .collect();
+        let mut d = LpProblem::new(y.len() + bounded.len());
+        d.set_sense(Sense::Minimize);
+        let mut columns = vec![Vec::new(); self.objective.len()];
+        for (k, &(i, sign)) in y.iter().enumerate() {
+            d.set_objective_coefficient(k, sign * self.rows[i].2);
+            for &(j, a) in &self.rows[i].0 {
+                columns[j].push((k, sign * a));
+            }
+        }
+        for (k, &j) in bounded.iter().enumerate() {
+            d.set_objective_coefficient(y.len() + k, self.upper[j]);
+            columns[j].push((y.len() + k, 1.0));
+        }
+        for (j, column) in columns.iter().enumerate() {
+            d.add_ge_constraint(column, self.sign() * self.objective[j]);
+        }
+        d
+    }
+}
+
+/// Solves `primal` (the program `rows` describes) with the sparse engine
+/// and certifies the verdict against the solved dual. Returns the primal
+/// solution.
+fn assert_duality_certificate(rows: &RowLp, primal: &LpProblem) -> LpSolution {
+    let p = primal.solve();
+    let dual = rows.dual();
+    let d = dual.solve();
+    match p.status {
+        LpStatus::Optimal => {
+            assert_eq!(
+                d.status,
+                LpStatus::Optimal,
+                "primal optimal, dual {:?}",
+                d.status
+            );
+            assert!(
+                primal.is_feasible(&p.variables, 1e-6),
+                "primal point infeasible: {:?}",
+                p.variables
+            );
+            assert!(
+                dual.is_feasible(&d.variables, 1e-6),
+                "dual point infeasible: {:?}",
+                d.variables
+            );
+            assert!(close(primal.objective_value(&p.variables), p.objective));
+            assert!(
+                close(rows.sign() * p.objective, d.objective),
+                "duality gap: primal {} vs dual {}",
+                p.objective,
+                d.objective
+            );
+        }
+        LpStatus::Infeasible => assert!(
+            matches!(d.status, LpStatus::Unbounded | LpStatus::Infeasible),
+            "primal infeasible, dual {:?}",
+            d.status
+        ),
+        LpStatus::Unbounded => {
+            assert_eq!(
+                d.status,
+                LpStatus::Infeasible,
+                "primal unbounded, dual {:?}",
+                d.status
+            )
+        }
+        other => panic!("sparse engine gave no verdict: {other:?}"),
+    }
+    p
+}
+
+/// The repo's deterministic LCG, mapped to a uniform `[0, 1)` draw from its
+/// top 53 bits.
+fn lcg(seed: u64) -> impl FnMut() -> f64 {
+    let mut state = seed | 1;
+    move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
 
 /// A deterministic pseudo-random LP description derived from a seed, shaped
 /// like the flow formulation: every variable is upper-bounded, and each
@@ -33,24 +171,16 @@ fn random_lp(max_vars: usize, max_rows: usize) -> impl Strategy<Value = RandomLp
     })
 }
 
-fn build(desc: &RandomLp) -> LpProblem {
-    let mut state = desc.seed | 1;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) as f64 / (u32::MAX as f64)
-    };
+fn build(desc: &RandomLp) -> RowLp {
+    let mut next = lcg(desc.seed);
     let n = desc.num_vars;
-    let mut p = LpProblem::new(n);
-    for j in 0..n {
+    let mut p = RowLp::default();
+    for _ in 0..n {
         // Mix of positive, zero and negative objective coefficients.
-        let c = (next() * 4.0).floor() - 1.0;
-        p.set_objective_coefficient(j, c);
+        p.objective.push((next() * 4.0).floor() - 1.0);
         // Every variable bounded (some tightly, some generously, a few
         // fixed at 0) — the flow formulation's `x_i ≤ q_i` shape.
-        let u = (next() * 6.0).floor();
-        p.set_upper_bound(j, u);
+        p.upper.push((next() * 6.0).floor());
     }
     for _ in 0..desc.rows {
         // Short sparse rows: 1–4 variables, coefficients in {−2,−1,1,2}.
@@ -66,13 +196,13 @@ fn build(desc: &RandomLp) -> LpProblem {
         }
         let rhs = (next() * 8.0).floor() - 2.0;
         let kind = next();
-        if kind < 0.6 {
-            p.add_le_constraint(&coeffs, rhs.max(0.0));
+        p.rows.push(if kind < 0.6 {
+            (coeffs, ConstraintOp::Le, rhs.max(0.0))
         } else if kind < 0.85 {
-            p.add_ge_constraint(&coeffs, rhs.min(3.0));
+            (coeffs, ConstraintOp::Ge, rhs.min(3.0))
         } else {
-            p.add_eq_constraint(&coeffs, rhs.abs().min(4.0));
-        }
+            (coeffs, ConstraintOp::Eq, rhs.abs().min(4.0))
+        });
     }
     p
 }
@@ -84,31 +214,18 @@ fn close(a: f64, b: f64) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
-    /// Both engines reach the same verdict, and on optimal programs the
-    /// same objective value from feasible points.
+    /// Every sparse-engine verdict on a random flow-shaped LP is certified
+    /// by strong duality.
     #[test]
-    fn engines_agree_on_random_flow_shaped_lps(desc in random_lp(10, 8)) {
-        let p = build(&desc);
-        let sparse = p.solve_with(SimplexEngine::SparseRevised);
-        let dense = p.solve_with(SimplexEngine::DenseTableau);
-        prop_assert_eq!(sparse.status, dense.status,
-            "sparse {:?} vs dense {:?}", sparse.status, dense.status);
-        if sparse.status == LpStatus::Optimal {
-            prop_assert!(close(sparse.objective, dense.objective),
-                "objective: sparse {} vs dense {}", sparse.objective, dense.objective);
-            prop_assert!(p.is_feasible(&sparse.variables, 1e-6),
-                "sparse point infeasible: {:?}", sparse.variables);
-            prop_assert!(p.is_feasible(&dense.variables, 1e-6),
-                "dense point infeasible: {:?}", dense.variables);
-            prop_assert!(close(p.objective_value(&sparse.variables), sparse.objective));
-        }
+    fn duality_certifies_random_flow_shaped_lps(desc in random_lp(10, 8)) {
+        let rows = build(&desc);
+        assert_duality_certificate(&rows, &rows.to_problem());
     }
 
     /// All-bounded programs can never be unbounded, whatever the rows say.
     #[test]
     fn bounded_programs_are_never_unbounded(desc in random_lp(8, 6)) {
-        let p = build(&desc);
-        let s = p.solve_with(SimplexEngine::SparseRevised);
+        let s = build(&desc).to_problem().solve();
         prop_assert!(s.status != LpStatus::Unbounded);
     }
 }
@@ -142,13 +259,7 @@ fn random_mcf(max_nodes: usize, max_arcs: usize) -> impl Strategy<Value = Random
 }
 
 fn build_mcf(desc: &RandomMcf) -> MinCostFlowProblem {
-    let mut state = desc.seed | 1;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) as f64 / (u32::MAX as f64)
-    };
+    let mut next = lcg(desc.seed);
     let n = desc.nodes;
     let mut p = MinCostFlowProblem::new(n);
     // Balanced supply/demand pairs (plus an optional deliberate imbalance).
@@ -193,33 +304,75 @@ fn build_mcf(desc: &RandomMcf) -> MinCostFlowProblem {
     p
 }
 
+/// The `to_lp` image of `p`, row-wise: minimize cost over lower-bound-
+/// shifted arc flows, one balance equality per node.
+fn row_image(p: &MinCostFlowProblem) -> RowLp {
+    let mut rows: Vec<_> = (0..p.num_nodes())
+        .map(|v| (Vec::new(), ConstraintOp::Eq, p.supply(v)))
+        .collect();
+    let mut image = RowLp {
+        sense: Sense::Minimize,
+        ..RowLp::default()
+    };
+    for (j, a) in p.arcs().iter().enumerate() {
+        image.objective.push(a.cost);
+        image.upper.push(a.upper - a.lower);
+        rows[a.tail].0.push((j, 1.0));
+        rows[a.tail].2 -= a.lower;
+        rows[a.head].0.push((j, -1.0));
+        rows[a.head].2 += a.lower;
+    }
+    image.rows = rows;
+    image
+}
+
+/// Holds the network simplex, the sparse engine on the `to_lp` image and
+/// the duality certificate of that image to the same verdict (and, when
+/// optimal, the same cost). Returns the verdict.
+fn assert_three_way(p: &MinCostFlowProblem) -> LpStatus {
+    let net = p.solve();
+    let (lp, offset) = p.to_lp();
+    let image = row_image(p);
+    let mirror = image.to_problem();
+    assert_eq!(
+        (mirror.num_constraints(), mirror.num_nonzeros()),
+        (lp.num_constraints(), lp.num_nonzeros())
+    );
+    assert_eq!(mirror.objective(), lp.objective());
+    assert_eq!(mirror.upper_bounds(), lp.upper_bounds());
+    let sparse = assert_duality_certificate(&image, &lp);
+    assert_eq!(
+        net.status, sparse.status,
+        "netflow {:?} vs sparse {:?}",
+        net.status, sparse.status
+    );
+    if net.status == LpStatus::Optimal {
+        assert!(
+            close(net.objective, sparse.objective + offset),
+            "cost: netflow {} vs sparse {}",
+            net.objective,
+            sparse.objective + offset
+        );
+        assert!(
+            p.is_feasible(&net.flows, 1e-6),
+            "netflow point infeasible: {:?}",
+            net.flows
+        );
+        assert!(close(p.flow_cost(&net.flows), net.objective));
+    }
+    net.status
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
-    /// The network simplex (solving the instance directly) and both LP
-    /// engines (solving its `to_lp` image) agree on the verdict; on optimal
-    /// instances they agree on the optimal cost, and the network simplex
-    /// returns a primal-feasible flow whose cost matches its objective.
+    /// The network simplex (solving the instance directly) and the sparse
+    /// engine (solving its `to_lp` image, certified by duality) agree on
+    /// the verdict and, on optimal instances, on the optimal cost from a
+    /// primal-feasible flow.
     #[test]
     fn three_engines_agree_on_random_mcf_instances(desc in random_mcf(6, 14)) {
-        let p = build_mcf(&desc);
-        let net = p.solve();
-        let (lp, offset) = p.to_lp();
-        let sparse = lp.solve_with(SimplexEngine::SparseRevised);
-        let dense = lp.solve_with(SimplexEngine::DenseTableau);
-        prop_assert_eq!(sparse.status, dense.status,
-            "sparse {:?} vs dense {:?}", sparse.status, dense.status);
-        prop_assert_eq!(net.status, sparse.status,
-            "netflow {:?} vs LP engines {:?}", net.status, sparse.status);
-        if net.status == LpStatus::Optimal {
-            prop_assert!(close(net.objective, sparse.objective + offset),
-                "cost: netflow {} vs sparse {}", net.objective, sparse.objective + offset);
-            prop_assert!(close(net.objective, dense.objective + offset),
-                "cost: netflow {} vs dense {}", net.objective, dense.objective + offset);
-            prop_assert!(p.is_feasible(&net.flows, 1e-6),
-                "netflow point infeasible: {:?}", net.flows);
-            prop_assert!(close(p.flow_cost(&net.flows), net.objective));
-        }
+        assert_three_way(&build_mcf(&desc));
     }
 
     /// With every capacity finite the instance can never be unbounded, and
@@ -234,171 +387,120 @@ proptest! {
 
 // --- Directed corner cases ------------------------------------------------
 
-fn engines() -> [SimplexEngine; 2] {
-    [SimplexEngine::SparseRevised, SimplexEngine::DenseTableau]
-}
-
 #[test]
-fn degenerate_beale_cycle_terminates_on_both_engines() {
+fn degenerate_beale_cycle_terminates() {
     // Beale's classic cycling example; anti-cycling safeguards must hold.
-    for engine in engines() {
-        let mut p = LpProblem::new(4);
-        p.set_objective_coefficient(0, 0.75);
-        p.set_objective_coefficient(1, -150.0);
-        p.set_objective_coefficient(2, 0.02);
-        p.set_objective_coefficient(3, -6.0);
-        p.add_le_constraint(&[(0, 0.25), (1, -60.0), (2, -0.04), (3, 9.0)], 0.0);
-        p.add_le_constraint(&[(0, 0.5), (1, -90.0), (2, -0.02), (3, 3.0)], 0.0);
-        p.add_le_constraint(&[(2, 1.0)], 1.0);
-        let s = p.solve_with(engine);
-        assert_eq!(s.status, LpStatus::Optimal, "{engine:?}");
-        assert!(
-            (s.objective - 0.05).abs() < 1e-6,
-            "{engine:?}: {}",
-            s.objective
-        );
-    }
+    let mut p = LpProblem::new(4);
+    p.set_objective_coefficient(0, 0.75);
+    p.set_objective_coefficient(1, -150.0);
+    p.set_objective_coefficient(2, 0.02);
+    p.set_objective_coefficient(3, -6.0);
+    p.add_le_constraint(&[(0, 0.25), (1, -60.0), (2, -0.04), (3, 9.0)], 0.0);
+    p.add_le_constraint(&[(0, 0.5), (1, -90.0), (2, -0.02), (3, 3.0)], 0.0);
+    p.add_le_constraint(&[(2, 1.0)], 1.0);
+    let s = p.solve();
+    assert_eq!(s.status, LpStatus::Optimal);
+    assert!((s.objective - 0.05).abs() < 1e-6, "{}", s.objective);
 }
 
 #[test]
 fn massively_degenerate_zero_rhs_program_terminates() {
     // Every balance row has RHS 0 (the hard degenerate case in flow LPs).
-    for engine in engines() {
-        let n = 20;
-        let mut p = LpProblem::new(n);
-        p.set_objective_coefficient(n - 1, 1.0);
-        p.set_upper_bound(0, 3.0);
-        for j in 1..n {
-            p.set_upper_bound(j, 10.0);
-            p.add_le_constraint(&[(j, 1.0), (j - 1, -1.0)], 0.0);
-        }
-        let s = p.solve_with(engine);
-        assert_eq!(s.status, LpStatus::Optimal, "{engine:?}");
-        assert!(
-            (s.objective - 3.0).abs() < 1e-6,
-            "{engine:?}: {}",
-            s.objective
-        );
+    let n = 20;
+    let mut p = LpProblem::new(n);
+    p.set_objective_coefficient(n - 1, 1.0);
+    p.set_upper_bound(0, 3.0);
+    for j in 1..n {
+        p.set_upper_bound(j, 10.0);
+        p.add_le_constraint(&[(j, 1.0), (j - 1, -1.0)], 0.0);
     }
+    let s = p.solve();
+    assert_eq!(s.status, LpStatus::Optimal);
+    assert!((s.objective - 3.0).abs() < 1e-6, "{}", s.objective);
 }
 
 #[test]
-fn unbounded_direction_is_reported_by_both_engines() {
-    for engine in engines() {
-        // max x + y with only x + y >= 2: no upper bounds anywhere.
-        let mut p = LpProblem::new(2);
-        p.set_objective_coefficient(0, 1.0);
-        p.set_objective_coefficient(1, 1.0);
-        p.add_ge_constraint(&[(0, 1.0), (1, 1.0)], 2.0);
-        assert_eq!(
-            p.solve_with(engine).status,
-            LpStatus::Unbounded,
-            "{engine:?}"
-        );
-    }
+fn unbounded_direction_is_reported() {
+    // max x + y with only x + y >= 2: no upper bounds anywhere.
+    let mut p = LpProblem::new(2);
+    p.set_objective_coefficient(0, 1.0);
+    p.set_objective_coefficient(1, 1.0);
+    p.add_ge_constraint(&[(0, 1.0), (1, 1.0)], 2.0);
+    assert_eq!(p.solve().status, LpStatus::Unbounded);
 }
 
 #[test]
-fn row_infeasibility_is_reported_by_both_engines() {
-    for engine in engines() {
-        let mut p = LpProblem::new(2);
-        p.add_eq_constraint(&[(0, 1.0), (1, 1.0)], 4.0);
-        p.add_le_constraint(&[(0, 1.0), (1, 1.0)], 1.0);
-        assert_eq!(
-            p.solve_with(engine).status,
-            LpStatus::Infeasible,
-            "{engine:?}"
-        );
-    }
+fn row_infeasibility_is_reported() {
+    let mut p = LpProblem::new(2);
+    p.add_eq_constraint(&[(0, 1.0), (1, 1.0)], 4.0);
+    p.add_le_constraint(&[(0, 1.0), (1, 1.0)], 1.0);
+    assert_eq!(p.solve().status, LpStatus::Infeasible);
 }
 
 #[test]
-fn bound_infeasibility_is_reported_by_both_engines() {
+fn bound_infeasibility_is_reported() {
     // x + y >= 5 but both variables are bounded by 1.
-    for engine in engines() {
-        let mut p = LpProblem::new(2);
-        p.set_upper_bound(0, 1.0);
-        p.set_upper_bound(1, 1.0);
-        p.add_ge_constraint(&[(0, 1.0), (1, 1.0)], 5.0);
-        assert_eq!(
-            p.solve_with(engine).status,
-            LpStatus::Infeasible,
-            "{engine:?}"
-        );
-    }
+    let mut p = LpProblem::new(2);
+    p.set_upper_bound(0, 1.0);
+    p.set_upper_bound(1, 1.0);
+    p.add_ge_constraint(&[(0, 1.0), (1, 1.0)], 5.0);
+    assert_eq!(p.solve().status, LpStatus::Infeasible);
 }
 
 #[test]
 fn equality_with_fixed_variables_is_solved_exactly() {
     // x fixed at 0, x + y = 3, y <= 4 -> y = 3.
-    for engine in engines() {
-        let mut p = LpProblem::new(2);
-        p.set_objective_coefficient(1, 1.0);
-        p.set_upper_bound(0, 0.0);
-        p.set_upper_bound(1, 4.0);
-        p.add_eq_constraint(&[(0, 1.0), (1, 1.0)], 3.0);
-        let s = p.solve_with(engine);
-        assert_eq!(s.status, LpStatus::Optimal, "{engine:?}");
-        assert!((s.objective - 3.0).abs() < 1e-6, "{engine:?}");
-    }
+    let mut p = LpProblem::new(2);
+    p.set_objective_coefficient(1, 1.0);
+    p.set_upper_bound(0, 0.0);
+    p.set_upper_bound(1, 4.0);
+    p.add_eq_constraint(&[(0, 1.0), (1, 1.0)], 3.0);
+    let s = p.solve();
+    assert_eq!(s.status, LpStatus::Optimal);
+    assert!((s.objective - 3.0).abs() < 1e-6);
 }
 
 // --- Directed three-way MCF corners ---------------------------------------
 
-/// Asserts all three engines return `expect` for the given instance.
-fn assert_three_way_status(p: &MinCostFlowProblem, expect: LpStatus) {
-    assert_eq!(p.solve().status, expect, "netflow");
-    let (lp, _) = p.to_lp();
-    for engine in engines() {
-        assert_eq!(lp.solve_with(engine).status, expect, "{engine:?}");
-    }
-}
-
 #[test]
 fn zero_capacity_arcs_are_degenerate_not_wrong() {
     // A cheap but zero-capacity shortcut must not attract flow; the costly
-    // detour carries the single unit on all three engines.
+    // detour carries the single unit.
     let mut p = MinCostFlowProblem::new(3);
     p.set_supply(0, 1.0);
     p.set_supply(2, -1.0);
     p.add_arc(0, 2, 1.0, 0.0); // direct but capacity 0
     p.add_arc(0, 1, 2.0, 5.0);
     p.add_arc(1, 2, 2.0, 5.0);
+    assert_eq!(assert_three_way(&p), LpStatus::Optimal);
     let net = p.solve();
-    assert_eq!(net.status, LpStatus::Optimal);
     assert!((net.objective - 4.0).abs() < 1e-6, "{}", net.objective);
     assert_eq!(net.flows[0], 0.0);
-    let (lp, offset) = p.to_lp();
-    for engine in engines() {
-        let s = lp.solve_with(engine);
-        assert_eq!(s.status, LpStatus::Optimal, "{engine:?}");
-        assert!((s.objective + offset - 4.0).abs() < 1e-6, "{engine:?}");
-    }
 }
 
 #[test]
-fn imbalanced_supplies_are_infeasible_on_all_three_engines() {
+fn imbalanced_supplies_are_infeasible_three_ways() {
     let mut p = MinCostFlowProblem::new(2);
     p.set_supply(0, 2.0);
     p.set_supply(1, -1.0); // total supply 1 ≠ 0
     p.add_arc(0, 1, 1.0, 5.0);
-    assert_three_way_status(&p, LpStatus::Infeasible);
+    assert_eq!(assert_three_way(&p), LpStatus::Infeasible);
 }
 
 #[test]
-fn capacity_cut_infeasibility_matches_on_all_three_engines() {
+fn capacity_cut_infeasibility_matches_three_ways() {
     // Balanced supplies, but the only connecting arc is one unit short.
     let mut p = MinCostFlowProblem::new(2);
     p.set_supply(0, 3.0);
     p.set_supply(1, -3.0);
     p.add_arc(0, 1, 1.0, 2.0);
-    assert_three_way_status(&p, LpStatus::Infeasible);
+    assert_eq!(assert_three_way(&p), LpStatus::Infeasible);
 }
 
 #[test]
-fn negative_cost_uncapacitated_cycle_is_unbounded_on_all_three_engines() {
+fn negative_cost_uncapacitated_cycle_is_unbounded_three_ways() {
     let mut p = MinCostFlowProblem::new(2);
     p.add_arc(0, 1, -1.0, f64::INFINITY);
     p.add_arc(1, 0, -1.0, f64::INFINITY);
-    assert_three_way_status(&p, LpStatus::Unbounded);
+    assert_eq!(assert_three_way(&p), LpStatus::Unbounded);
 }

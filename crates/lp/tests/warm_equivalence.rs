@@ -19,7 +19,7 @@
 //! equivalence holds on that road too, infeasible steps included.
 
 use proptest::prelude::*;
-use tin_lp::{LpStatus, MinCostFlowProblem, NetflowSession, SimplexEngine};
+use tin_lp::{LpStatus, MinCostFlowProblem, NetflowSession};
 
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-6 * (1.0 + a.abs().max(b.abs()))
@@ -39,7 +39,7 @@ impl Lcg {
             .0
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        (self.0 >> 33) as f64 / (u32::MAX as f64)
+        (self.0 >> 11) as f64 / (1u64 << 53) as f64
     }
 
     fn below(&mut self, n: usize) -> usize {
@@ -158,7 +158,7 @@ fn assert_three_way(p: &MinCostFlowProblem, warm: &tin_lp::McfSolution, context:
         warm.status, cold.status
     );
     let (lp, offset) = p.to_lp();
-    let oracle = lp.solve_with(SimplexEngine::SparseRevised);
+    let oracle = lp.solve();
     assert_eq!(
         cold.status, oracle.status,
         "{context}: cold {:?} vs LP oracle {:?}",

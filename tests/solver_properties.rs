@@ -4,6 +4,8 @@
 //! exactly as the paper claims.
 
 use proptest::prelude::*;
+use temporal_flow::flow::compute_flow_with_engine;
+use temporal_flow::lp::SimplexEngine;
 use temporal_flow::prelude::*;
 use tin_graph::NodeId;
 
@@ -85,13 +87,18 @@ proptest! {
     }
 
     /// The LP formulation and the time-expanded static max-flow compute the
-    /// same optimum (the Section 4.2.1 equivalence).
+    /// same optimum (the Section 4.2.1 equivalence), three ways: the network
+    /// simplex, the sparse revised simplex and time-expanded Dinic.
     #[test]
     fn lp_equals_time_expanded(dag in random_dag(6, 2)) {
         let (g, s, t) = build(&dag);
         let lp = compute_flow(&g, s, t, FlowMethod::Lp).unwrap().flow;
+        let sparse = compute_flow_with_engine(&g, s, t, FlowMethod::Lp, SimplexEngine::SparseRevised)
+            .unwrap()
+            .flow;
         let te = compute_flow(&g, s, t, FlowMethod::TimeExpanded).unwrap().flow;
         prop_assert!(close(lp, te), "LP {lp} vs time-expanded {te}");
+        prop_assert!(close(sparse, te), "sparse LP {sparse} vs time-expanded {te}");
     }
 
     /// `Pre` and `PreSim` are exact: they agree with the plain LP baseline.
