@@ -134,10 +134,6 @@ fn main() {
         "scale: dataset×{:.2}, ≤{} subgraphs, ≤{} interactions/subgraph",
         scale.dataset_scale, scale.max_subgraphs, scale.max_subgraph_interactions
     );
-    println!(
-        "threads: {} in the worker pool (set TIN_THREADS to change)",
-        tin_parallel::effective_threads()
-    );
 
     let workloads = Workload::all(&scale);
 

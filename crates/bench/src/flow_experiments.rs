@@ -2,18 +2,14 @@
 //! exact-engine comparison (sparse revised simplex against the network
 //! simplex).
 //!
-//! The per-subgraph evaluations are independent, so
-//! [`flow_method_experiment`] and [`lp_engine_experiment`] fan the subgraphs
-//! out over the workspace worker pool ([`tin_parallel::parallel_map`] — the
-//! same pool the parallel path-table builder uses): workers pull indices
-//! from an atomic counter and results land in per-index slots, so the
-//! output is deterministic in everything but the timings themselves.
+//! [`flow_method_experiment`] and [`lp_engine_experiment`] evaluate the
+//! subgraphs one after another on the calling thread, so no per-subgraph
+//! timing contends with a second worker for the host's cores.
 
 use crate::workloads::Workload;
 use std::time::{Duration, Instant};
 use tin_datasets::SeedSubgraph;
 use tin_flow::{build_lp, build_mcf, compute_flow, DifficultyClass, FlowMethod};
-use tin_parallel::parallel_map;
 
 /// Methods compared in the paper's runtime tables.
 pub const TABLE_METHODS: [FlowMethod; 4] = [
@@ -79,29 +75,17 @@ fn summarize(method: FlowMethod, durations: &[Duration]) -> MethodTiming {
 
 /// Classifies every subgraph (via the `PreSim` pipeline) and measures each
 /// method on it, producing one of the paper's Tables 6–8.
-///
-/// Subgraphs are evaluated in parallel on a std-thread worker pool; each
-/// subgraph's classification and all of its method timings happen on one
-/// worker, so per-method comparisons stay within a single thread.
 pub fn flow_method_experiment(workload: &Workload) -> FlowTable {
-    let per_subgraph = parallel_map(&workload.subgraphs, |sub| {
+    let mut timings: Vec<Vec<Duration>> = vec![Vec::new(); TABLE_METHODS.len()];
+    let mut classes: Vec<DifficultyClass> = Vec::with_capacity(workload.subgraphs.len());
+    for sub in &workload.subgraphs {
         let class = compute_flow(&sub.graph, sub.source, sub.sink, FlowMethod::PreSim)
             .expect("valid subgraph")
             .class
             .unwrap_or(DifficultyClass::C);
-        let durations: Vec<Duration> = TABLE_METHODS
-            .iter()
-            .map(|&method| time_method(sub, method))
-            .collect();
-        (class, durations)
-    });
-
-    let mut timings: Vec<Vec<Duration>> = vec![Vec::new(); TABLE_METHODS.len()];
-    let mut classes: Vec<DifficultyClass> = Vec::with_capacity(workload.subgraphs.len());
-    for (class, durations) in per_subgraph {
         classes.push(class);
-        for (i, d) in durations.into_iter().enumerate() {
-            timings[i].push(d);
+        for (i, &method) in TABLE_METHODS.iter().enumerate() {
+            timings[i].push(time_method(sub, method));
         }
     }
 
@@ -236,11 +220,10 @@ impl EngineClassRow {
 /// row/column machinery. Their optimal values are asserted to agree to
 /// 1e-6 relative tolerance on every subgraph.
 ///
-/// Runs on the same worker pool as [`flow_method_experiment`]; both engine
-/// timings for one subgraph are taken on the same worker, back to back.
-/// Every engine's time is the best of three repeated trials so one-shot
-/// allocator and cold-cache noise (large on sub-100µs solves) does not
-/// drown the signal — the same discipline Criterion applies in
+/// Both engine timings for one subgraph are taken back to back. Every
+/// engine's time is the best of three repeated trials so one-shot allocator
+/// and cold-cache noise (large on sub-100µs solves) does not drown the
+/// signal — the same discipline Criterion applies in
 /// `benches/lp_solver.rs`, applied uniformly across engines.
 pub fn lp_engine_experiment(workload: &Workload) -> Vec<EngineClassRow> {
     #[derive(Clone, Copy)]
@@ -263,52 +246,56 @@ pub fn lp_engine_experiment(workload: &Workload) -> Vec<EngineClassRow> {
             .min_by_key(|m| m.time)
             .expect("at least one trial")
     };
-    let samples = parallel_map(&workload.subgraphs, |sub| {
-        let class = compute_flow(&sub.graph, sub.source, sub.sink, FlowMethod::PreSim)
-            .expect("valid subgraph")
-            .class
-            .unwrap_or(DifficultyClass::C);
-        let sparse = best_of(&|| {
-            let start = Instant::now();
-            let f = build_lp(&sub.graph, sub.source, sub.sink);
-            let solution = f.problem.solve();
-            assert!(solution.is_optimal(), "flow LP must be solvable");
-            std::hint::black_box(solution.objective);
-            Measurement {
-                time: start.elapsed(),
-                value: solution.objective,
-                pivots: solution.pivots,
-                degenerate: solution.degenerate_pivots,
-                density: solution.matrix_density,
+    let samples: Vec<Sample> = workload
+        .subgraphs
+        .iter()
+        .map(|sub| {
+            let class = compute_flow(&sub.graph, sub.source, sub.sink, FlowMethod::PreSim)
+                .expect("valid subgraph")
+                .class
+                .unwrap_or(DifficultyClass::C);
+            let sparse = best_of(&|| {
+                let start = Instant::now();
+                let f = build_lp(&sub.graph, sub.source, sub.sink);
+                let solution = f.problem.solve();
+                assert!(solution.is_optimal(), "flow LP must be solvable");
+                std::hint::black_box(solution.objective);
+                Measurement {
+                    time: start.elapsed(),
+                    value: solution.objective,
+                    pivots: solution.pivots,
+                    degenerate: solution.degenerate_pivots,
+                    density: solution.matrix_density,
+                }
+            });
+            let netflow = best_of(&|| {
+                let start = Instant::now();
+                let f = build_mcf(&sub.graph, sub.source, sub.sink);
+                let solution = f.problem.solve();
+                assert!(solution.is_optimal(), "flow circulation must be solvable");
+                let value = solution.flows[f.return_arc];
+                std::hint::black_box(value);
+                Measurement {
+                    time: start.elapsed(),
+                    value,
+                    pivots: solution.pivots,
+                    degenerate: solution.degenerate_pivots,
+                    density: 0.0,
+                }
+            });
+            assert!(
+                (netflow.value - sparse.value).abs() <= 1e-6 * (1.0 + sparse.value.abs()),
+                "engines disagree on a workload subgraph: sparse {} vs netflow {}",
+                sparse.value,
+                netflow.value
+            );
+            Sample {
+                class,
+                sparse,
+                netflow,
             }
-        });
-        let netflow = best_of(&|| {
-            let start = Instant::now();
-            let f = build_mcf(&sub.graph, sub.source, sub.sink);
-            let solution = f.problem.solve();
-            assert!(solution.is_optimal(), "flow circulation must be solvable");
-            let value = solution.flows[f.return_arc];
-            std::hint::black_box(value);
-            Measurement {
-                time: start.elapsed(),
-                value,
-                pivots: solution.pivots,
-                degenerate: solution.degenerate_pivots,
-                density: 0.0,
-            }
-        });
-        assert!(
-            (netflow.value - sparse.value).abs() <= 1e-6 * (1.0 + sparse.value.abs()),
-            "engines disagree on a workload subgraph: sparse {} vs netflow {}",
-            sparse.value,
-            netflow.value
-        );
-        Sample {
-            class,
-            sparse,
-            netflow,
-        }
-    });
+        })
+        .collect();
 
     let row = |label: &'static str, filter: Option<DifficultyClass>| -> EngineClassRow {
         let picked: Vec<&Sample> = samples

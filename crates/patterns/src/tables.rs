@@ -28,12 +28,11 @@
 //! instead of two small ones per row. After sorting, a per-anchor offset
 //! index makes [`PathTable::rows_for`] an O(1) slice lookup.
 //!
-//! Eager builds fan the anchors out over the workspace worker pool
-//! ([`tin_parallel::parallel_map`]); [`PathTables::for_anchors`] builds the rows
-//! of selected anchors only, and [`LazyPathTables`] memoizes per-anchor
-//! builds so a search that touches one anchor pays O(deg²) kernel work, not
-//! O(graph). The pre-kernel builder is retained in [`crate::reference`] as a
-//! cross-check oracle.
+//! [`PathTables::build`] is the one way to build tables from a graph: it
+//! runs on the calling thread over every anchor. It is serial by design — a
+//! thread-pool fan-out over anchor chunks measured slower than this loop on
+//! every dataset (DESIGN.md, "Parallelism"). The pre-kernel builder is
+//! retained in [`crate::reference`] as a cross-check oracle.
 //!
 //! The paper notes that on the two large datasets only the cycle tables fit
 //! in memory while the chain table is feasible for Prosper; [`TablesConfig`]
@@ -62,16 +61,9 @@
 //! whole anchor, which is what keeps hub-heavy appends cheap. Replaced rows
 //! leave their delivered profiles behind as arena garbage, which is
 //! reclaimed by an amortized compaction once it outweighs the live data.
-//! [`LazyPathTables::apply`] is the cache-side analogue at its natural
-//! (anchor) granularity: it evicts the anchors named by
-//! [`invalidated_anchors`] (`{u, v} ∪ in(u)` per touched edge) and lets the
-//! next query rebuild them.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use tin_flow::ChainScratch;
 use tin_graph::{AppliedDelta, Interaction, NodeId, Quantity, TemporalGraph};
-use tin_parallel::{effective_threads, parallel_map};
 
 /// Which tables to build and how large they may grow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,10 +75,12 @@ pub struct TablesConfig {
     /// Build the 2-hop chain table (can be much larger than the cycle
     /// tables; the paper only affords it for Prosper Loans).
     pub build_c2: bool,
-    /// Hard cap on the number of rows per table (0 = unlimited). A build
-    /// that would exceed the cap stops early and marks the result
-    /// [`PathTables::truncated`]; the PB matcher refuses truncated tables,
-    /// so the cap is a memory safety valve, not a sampling mechanism.
+    /// Hard cap on the number of rows per table (0 = unlimited). The build
+    /// checks the cap as it pushes each row: the first row that would take
+    /// a table past it is dropped, the build stops there, and the result is
+    /// marked [`PathTables::truncated`] (so no table ever holds more than
+    /// `max_rows` rows). The PB matcher refuses truncated tables, so the cap
+    /// is a memory safety valve, not a sampling mechanism.
     pub max_rows: usize,
 }
 
@@ -149,8 +143,8 @@ pub struct PathTable {
     /// Prefix offsets over the anchor range that actually has rows: rows of
     /// anchor `a` (with `first_anchor ≤ a.index()`) live at
     /// `rows[offsets[a - first_anchor] .. offsets[a - first_anchor + 1]]`.
-    /// Spanning only the populated range keeps anchor-lazy builds O(1)
-    /// memory instead of O(node count) per table.
+    /// Spanning only the populated range keeps the index as small as the
+    /// anchors that have rows, and needs no node count to rebuild.
     offsets: Vec<u32>,
     first_anchor: usize,
     /// Arena entries orphaned by incremental patches ([`PathTable::delivered`]
@@ -532,10 +526,6 @@ pub struct PathTables {
     /// The configuration the tables were built with — remembered so
     /// [`PathTables::apply`] re-runs the kernel under identical settings.
     config: TablesConfig,
-    /// Whether the tables cover only a selected anchor subset
-    /// ([`PathTables::for_anchors`]); such tables refuse incremental
-    /// maintenance, which is defined against full coverage.
-    partial: bool,
     kernel_calls: u64,
 }
 
@@ -576,51 +566,24 @@ impl PatchKey {
 }
 
 impl PathTables {
-    /// Builds the tables for `graph`, fanning the anchors out over the
-    /// worker pool when the graph is large enough to amortize it (at least
-    /// 512 vertices and a pool of more than one thread).
+    /// Builds the tables for `graph`: every anchor, in ascending order, on
+    /// the calling thread, stopping early only at the row cap
+    /// ([`TablesConfig::max_rows`]).
     pub fn build(graph: &TemporalGraph, config: &TablesConfig) -> Self {
-        let anchors: Vec<NodeId> = all_anchors(graph);
-        build_for_anchor_list(graph, config, &anchors, auto_parallel(graph))
-    }
-
-    /// Builds the tables on the calling thread only (benchmark baseline and
-    /// deterministic small-graph path).
-    pub fn build_serial(graph: &TemporalGraph, config: &TablesConfig) -> Self {
-        let anchors: Vec<NodeId> = all_anchors(graph);
-        build_for_anchor_list(graph, config, &anchors, false)
-    }
-
-    /// Builds the tables on the worker pool unconditionally.
-    pub fn build_parallel(graph: &TemporalGraph, config: &TablesConfig) -> Self {
-        let anchors: Vec<NodeId> = all_anchors(graph);
-        build_for_anchor_list(graph, config, &anchors, true)
-    }
-
-    /// Builds the rows anchored at `anchors` only (anchor-lazy mode):
-    /// kernel work is proportional to the listed anchors' neighborhoods,
-    /// not to the whole graph. Duplicate anchors are deduplicated.
-    ///
-    /// The result is a regular [`PathTables`] whose tables simply contain no
-    /// rows for other anchors, so every downstream consumer (joins, relaxed
-    /// searches) works unchanged on the subset.
-    pub fn for_anchors(graph: &TemporalGraph, config: &TablesConfig, anchors: &[NodeId]) -> Self {
-        let mut picked: Vec<NodeId> = anchors
-            .iter()
-            .copied()
-            .filter(|a| a.index() < graph.node_count())
-            .collect();
-        picked.sort_unstable();
-        picked.dedup();
-        let mut tables = build_for_anchor_list(graph, config, &picked, auto_parallel(graph));
-        tables.partial = true;
-        tables
-    }
-
-    /// Rows of `table` anchored at `anchor` (kept as a thin wrapper over the
-    /// table's per-anchor offset index for source compatibility).
-    pub fn rows_for(table: &PathTable, anchor: NodeId) -> &[PathRow] {
-        table.rows_for(anchor)
+        let mut scratch = ChainScratch::new();
+        let mut bufs: [TableBuf; 3] = Default::default();
+        let truncated = !graph
+            .node_ids()
+            .all(|u| build_anchor(graph, config, u, &mut scratch, &mut bufs));
+        let [l2, l3, c2] = bufs.map(TableBuf::into_table);
+        PathTables {
+            l2,
+            l3,
+            c2,
+            truncated,
+            config: *config,
+            kernel_calls: scratch.kernel_calls(),
+        }
     }
 
     /// Total number of rows across all tables.
@@ -628,8 +591,8 @@ impl PathTables {
         self.l2.len() + self.l3.len() + self.c2.len()
     }
 
-    /// Number of chain-propagation kernel passes the build performed
-    /// (anchor-lazy builds do anchor-local work; tests assert on this).
+    /// Number of chain-propagation kernel passes the build and every later
+    /// [`PathTables::apply`] performed (tests assert on this).
     pub fn kernel_calls(&self) -> u64 {
         self.kernel_calls
     }
@@ -637,14 +600,6 @@ impl PathTables {
     /// The configuration the tables were built with.
     pub fn config(&self) -> &TablesConfig {
         &self.config
-    }
-
-    /// Whether the tables cover only a selected anchor subset
-    /// ([`PathTables::for_anchors`]). Partial tables refuse
-    /// [`PathTables::apply`] and cannot be snapshotted meaningfully — a
-    /// restore would silently serve subset coverage as full coverage.
-    pub fn is_partial(&self) -> bool {
-        self.partial
     }
 
     /// Reassembles a full-coverage table set from stored parts: the build
@@ -666,7 +621,6 @@ impl PathTables {
             c2,
             truncated,
             config,
-            partial: false,
             kernel_calls: 0,
         }
     }
@@ -753,18 +707,7 @@ impl PathTables {
     /// direction — growth past the cap, or shrinkage of previously capped
     /// content) fall back to a full rebuild so the row-cap semantics stay
     /// exactly those of a fresh build.
-    ///
-    /// # Panics
-    /// Panics on tables built with [`PathTables::for_anchors`]: a fixed
-    /// anchor subset cannot be patched meaningfully (the patch would mix
-    /// subset and full coverage) — use [`LazyPathTables`] for incrementally
-    /// maintained partial coverage.
     pub fn apply(&mut self, graph: &TemporalGraph, applied: &AppliedDelta) -> TablesUpdate {
-        assert!(
-            !self.partial,
-            "PathTables::apply on a for_anchors subset would silently mix subset and \
-             full coverage; use LazyPathTables for maintained partial coverage"
-        );
         let config = self.config;
         if self.truncated {
             return self.rebuild(graph, &config, 0);
@@ -834,43 +777,6 @@ impl PathTables {
             kernel_calls: this_update,
         }
     }
-}
-
-/// The anchors whose `L2`/`L3`/`C2` rows a batch of changes can invalidate:
-/// for every changed edge `u → v` — appended to, shrunk by eviction, or
-/// tombstoned — the set `{u, v} ∪ in(u)` (deduplicated, ascending). `graph`
-/// must be the *post-apply* graph.
-///
-/// This set is exact, for additions and removals alike: a table row's
-/// delivered profiles depend only on the edges along its path, and a path
-/// through `u → v` starts at `u` (first edge), at an in-neighbor of `u`
-/// (middle edge), or at `v` (closing edge of a cycle). Rows of any other
-/// anchor cannot reference the changed edge and stay valid verbatim.
-/// (Tombstones keep their endpoints, which is what makes the removed edges
-/// addressable here; an in-neighbor edge removed by the same delta is
-/// itself a changed edge and contributes its own anchors.)
-pub fn invalidated_anchors(graph: &TemporalGraph, applied: &AppliedDelta) -> Vec<NodeId> {
-    let mut anchors = Vec::new();
-    for e in applied.changed_edges() {
-        let edge = graph.edge(e);
-        anchors.push(edge.src);
-        anchors.push(edge.dst);
-        anchors.extend(graph.in_neighbors(edge.src));
-    }
-    anchors.sort_unstable();
-    anchors.dedup();
-    anchors
-}
-
-/// Every vertex id of `graph`, as the ascending anchor list of a full build.
-fn all_anchors(graph: &TemporalGraph) -> Vec<NodeId> {
-    (0..graph.node_count()).map(NodeId::from_index).collect()
-}
-
-/// Eager builds go parallel only when the graph plausibly amortizes the
-/// thread-pool round trip.
-fn auto_parallel(graph: &TemporalGraph) -> bool {
-    graph.node_count() >= 512 && effective_threads() > 1
 }
 
 /// The row groups one applied delta invalidates, as named by
@@ -1033,7 +939,8 @@ const L2: usize = 0;
 const L3: usize = 1;
 const C2: usize = 2;
 
-/// Rows plus arena for one table, as produced by one worker chunk.
+/// Rows plus arena for one table, as produced by a build or by the
+/// incremental recompute of [`PathTables::apply`].
 #[derive(Default)]
 struct TableBuf {
     rows: Vec<PathRow>,
@@ -1059,62 +966,17 @@ impl TableBuf {
             flow,
         });
     }
-}
 
-/// Shared row-cap accounting across worker chunks. `published` counts rows
-/// already handed over by completed anchors, so a chunk can tell (up to
-/// publish lag) whether a new row would exceed the cap.
-struct CapState {
-    cap: usize,
-    published: [AtomicUsize; 3],
-}
-
-/// One worker's output: per-table buffers plus cap/kernel bookkeeping.
-#[derive(Default)]
-struct ChunkOut {
-    tables: [TableBuf; 3],
-    my_published: [usize; 3],
-    /// A row push would have exceeded the cap — truncation is certain.
-    hit_cap: bool,
-    kernel_calls: u64,
-}
-
-impl ChunkOut {
-    /// Pushes a row unless that would exceed the global cap; on a cap hit,
-    /// flags the chunk so the caller stops producing rows.
-    fn try_push(
-        &mut self,
-        caps: &CapState,
-        table: usize,
-        verts: [NodeId; MAX_PATH_VERTICES],
-        len: u8,
-        delivered: &[Interaction],
-        flow: Quantity,
-    ) {
-        if caps.cap > 0 {
-            let others = caps.published[table].load(Ordering::Relaxed) - self.my_published[table];
-            if others + self.tables[table].rows.len() >= caps.cap {
-                self.hit_cap = true;
-                return;
-            }
-        }
-        self.tables[table].push(verts, len, delivered, flow);
-    }
-
-    /// Publishes this chunk's row counts so other chunks see them in their
-    /// cap checks.
-    fn publish(&mut self, caps: &CapState) {
-        if caps.cap == 0 {
-            return;
-        }
-        for t in 0..3 {
-            let len = self.tables[t].rows.len();
-            let delta = len - self.my_published[t];
-            if delta > 0 {
-                caps.published[t].fetch_add(delta, Ordering::Relaxed);
-                self.my_published[t] = len;
-            }
-        }
+    /// The finished table: these rows (already sorted by vertex sequence)
+    /// with their offset index.
+    fn into_table(self) -> PathTable {
+        let mut table = PathTable {
+            rows: self.rows,
+            arena: self.arena,
+            ..PathTable::default()
+        };
+        table.build_offsets();
+        table
     }
 }
 
@@ -1124,7 +986,7 @@ impl ChunkOut {
 ///
 /// `emit(table, verts, len, delivered, flow)` returns `false` to stop early
 /// (row-cap pressure); the function then returns `false` too. Shared by the
-/// eager per-anchor build and the incremental [`PathTables::apply`], so the
+/// per-anchor build and the incremental [`PathTables::apply`], so the
 /// two paths cannot drift apart.
 fn enumerate_first_edge<F>(
     graph: &TemporalGraph,
@@ -1192,24 +1054,21 @@ fn pair(graph: &TemporalGraph, src: NodeId, dst: NodeId) -> Option<&[Interaction
         .map(|e| graph.edge(e).interactions.as_slice())
 }
 
-/// Builds every row anchored at `u` into `out`, using the chain kernel on
-/// the graph's interaction slices directly.
+/// Appends every row anchored at `u` to `bufs`, using the chain kernel on
+/// the graph's interaction slices directly. Returns `false` when a row would
+/// have taken its table past [`TablesConfig::max_rows`]: that row is dropped
+/// and the caller stops building.
 fn build_anchor(
     graph: &TemporalGraph,
     config: &TablesConfig,
     u: NodeId,
     scratch: &mut ChainScratch,
-    out: &mut ChunkOut,
-    caps: &CapState,
-) {
-    let starts = [
-        out.tables[L2].rows.len(),
-        out.tables[L3].rows.len(),
-        out.tables[C2].rows.len(),
-    ];
-    for &e in graph.out_edges(u) {
+    bufs: &mut [TableBuf; 3],
+) -> bool {
+    let starts = bufs.each_ref().map(|b| b.rows.len());
+    let completed = graph.out_edges(u).iter().all(|&e| {
         let edge = graph.edge(e);
-        let completed = enumerate_first_edge(
+        enumerate_first_edge(
             graph,
             config,
             u,
@@ -1217,173 +1076,20 @@ fn build_anchor(
             &edge.interactions,
             scratch,
             &mut |table, verts, len, delivered, flow| {
-                out.try_push(caps, table, verts, len, delivered, flow);
-                !out.hit_cap
+                if config.max_rows > 0 && bufs[table].rows.len() >= config.max_rows {
+                    return false;
+                }
+                bufs[table].push(verts, len, delivered, flow);
+                true
             },
-        );
-        if !completed {
-            break;
-        }
-    }
+        )
+    });
     // Adjacency order is arbitrary; sort this anchor's slice of each table
-    // so concatenated chunks come out globally sorted by vertex sequence.
-    for (t, &start) in starts.iter().enumerate() {
-        out.tables[t].rows[start..].sort_unstable_by(|a, b| a.vertices().cmp(b.vertices()));
+    // so the ascending anchor loop leaves every table sorted.
+    for (buf, start) in bufs.iter_mut().zip(starts) {
+        buf.rows[start..].sort_unstable_by(|a, b| a.vertices().cmp(b.vertices()));
     }
-    out.publish(caps);
-}
-
-/// Builds the tables for an ascending, deduplicated anchor list, optionally
-/// fanning chunks of anchors out over the worker pool.
-fn build_for_anchor_list(
-    graph: &TemporalGraph,
-    config: &TablesConfig,
-    anchors: &[NodeId],
-    parallel: bool,
-) -> PathTables {
-    let caps = CapState {
-        cap: config.max_rows,
-        published: [
-            AtomicUsize::new(0),
-            AtomicUsize::new(0),
-            AtomicUsize::new(0),
-        ],
-    };
-    let run_chunk = |chunk: &&[NodeId]| -> ChunkOut {
-        let mut scratch = ChainScratch::new();
-        let mut out = ChunkOut::default();
-        for &u in *chunk {
-            if out.hit_cap {
-                break;
-            }
-            build_anchor(graph, config, u, &mut scratch, &mut out, &caps);
-        }
-        out.kernel_calls = scratch.kernel_calls();
-        out
-    };
-
-    let chunks: Vec<&[NodeId]> = if parallel && anchors.len() > 1 {
-        let threads = effective_threads();
-        // Several chunks per worker so the atomic-cursor pool can balance
-        // skewed anchors; chunks stay contiguous to keep the output sorted.
-        let chunk_size = anchors.len().div_ceil(threads * 8).max(1);
-        anchors.chunks(chunk_size).collect()
-    } else {
-        vec![anchors]
-    };
-    let outputs = parallel_map(&chunks, run_chunk);
-
-    let mut tables = PathTables {
-        config: *config,
-        ..PathTables::default()
-    };
-    let mut hit_cap = false;
-    let mut merged: [TableBuf; 3] = Default::default();
-    for out in &outputs {
-        hit_cap |= out.hit_cap;
-        tables.kernel_calls += out.kernel_calls;
-    }
-    for mut out in outputs {
-        for (t, merged_buf) in merged.iter_mut().enumerate() {
-            let buf = std::mem::take(&mut out.tables[t]);
-            if merged_buf.rows.is_empty() {
-                *merged_buf = buf;
-                continue;
-            }
-            let base =
-                u32::try_from(merged_buf.arena.len()).expect("merged arena exceeds u32 offsets");
-            merged_buf.arena.extend_from_slice(&buf.arena);
-            merged_buf.rows.extend(buf.rows.into_iter().map(|mut r| {
-                r.delivered_start = base
-                    .checked_add(r.delivered_start)
-                    .expect("merged arena exceeds u32 offsets");
-                r
-            }));
-        }
-    }
-    for (t, buf) in merged.into_iter().enumerate() {
-        let dest = match t {
-            L2 => &mut tables.l2,
-            L3 => &mut tables.l3,
-            _ => &mut tables.c2,
-        };
-        dest.rows = buf.rows;
-        dest.arena = buf.arena;
-        if config.max_rows > 0 && dest.rows.len() > config.max_rows {
-            hit_cap = true;
-            dest.rows.truncate(config.max_rows);
-        }
-        dest.build_offsets();
-    }
-    tables.truncated = hit_cap;
-    tables
-}
-
-/// Memoizing per-anchor table builder (anchor-lazy mode).
-///
-/// A search that only ever touches a few anchors — serving one suspicious
-/// account, expanding one seed — should not pay for precomputing the whole
-/// graph. `LazyPathTables` builds each anchor's rows on first request with
-/// [`PathTables::for_anchors`] and caches them, so repeated queries are
-/// lookups and total kernel work stays proportional to the anchors
-/// actually visited.
-///
-/// The cache does not borrow the graph — queries pass it in — so a live
-/// pipeline can alternate [`tin_graph::TemporalGraph::apply`] with queries
-/// on one long-lived cache, calling [`LazyPathTables::apply`] after each
-/// graph delta to evict exactly the anchors the delta invalidated. Always
-/// query with the same (evolving) graph the cache was maintained against.
-#[derive(Debug, Default)]
-pub struct LazyPathTables {
-    config: TablesConfig,
-    cache: HashMap<NodeId, PathTables>,
-    kernel_calls: u64,
-}
-
-impl LazyPathTables {
-    /// Creates an empty lazy builder; nothing is computed yet.
-    pub fn new(config: TablesConfig) -> Self {
-        LazyPathTables {
-            config,
-            cache: HashMap::new(),
-            kernel_calls: 0,
-        }
-    }
-
-    /// The tables restricted to `anchor`, built over `graph` on first
-    /// request and memoized. Out-of-range anchors yield empty tables.
-    pub fn tables_for(&mut self, graph: &TemporalGraph, anchor: NodeId) -> &PathTables {
-        if !self.cache.contains_key(&anchor) {
-            let built = PathTables::for_anchors(graph, &self.config, &[anchor]);
-            self.kernel_calls += built.kernel_calls();
-            self.cache.insert(anchor, built);
-        }
-        &self.cache[&anchor]
-    }
-
-    /// Maintains the cache after `graph` absorbed a delta — additions and
-    /// sliding-window evictions alike: evicts every anchor the delta
-    /// invalidated (see [`invalidated_anchors`]) and returns how many
-    /// cached entries that dropped. Subsequent queries rebuild the evicted
-    /// anchors against the changed graph; untouched entries stay warm.
-    pub fn apply(&mut self, graph: &TemporalGraph, applied: &AppliedDelta) -> usize {
-        let mut evicted = 0;
-        for anchor in invalidated_anchors(graph, applied) {
-            evicted += usize::from(self.cache.remove(&anchor).is_some());
-        }
-        evicted
-    }
-
-    /// Number of distinct anchors built so far.
-    pub fn built_anchors(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Total chain-kernel passes across all memoized builds (repeat queries
-    /// add nothing).
-    pub fn kernel_calls(&self) -> u64 {
-        self.kernel_calls
-    }
+    completed
 }
 
 #[cfg(test)]
@@ -1411,7 +1117,7 @@ mod tests {
         // 2-hop cycles: x<->y (both anchors) and x<->z (both anchors).
         assert_eq!(t.l2.len(), 4);
         let x = g.node_by_name("x").unwrap();
-        let rows = PathTables::rows_for(&t.l2, x);
+        let rows = t.l2.rows_for(x);
         assert_eq!(rows.len(), 2);
         // x->y->x: y receives 5 at time 1, returns min(3,5)=3 at time 4.
         let via_y = rows
@@ -1434,7 +1140,7 @@ mod tests {
         // 3-hop cycles: x->y->z->x (and rotations y->z->x->y, z->x->y->z).
         assert_eq!(t.l3.len(), 3);
         let x = g.node_by_name("x").unwrap();
-        let rows = PathTables::rows_for(&t.l3, x);
+        let rows = t.l3.rows_for(x);
         assert_eq!(rows.len(), 1);
         // x->y->z->x: y gets 5@1, forwards min(4,5)=4@5, z forwards nothing
         // (its only return interaction is at time 3 < 5)... so flow 0.
@@ -1469,7 +1175,6 @@ mod tests {
     fn stored_parts_roundtrip_is_row_identical() {
         let g = sample();
         let t = PathTables::build(&g, &TablesConfig::default());
-        assert!(!t.is_partial());
         let dump = |table: &PathTable| {
             table
                 .iter()
@@ -1572,55 +1277,7 @@ mod tests {
         let g = sample();
         let t = PathTables::build(&g, &TablesConfig::default());
         let w = g.node_by_name("w").unwrap();
-        assert!(PathTables::rows_for(&t.l2, w).is_empty());
-    }
-
-    #[test]
-    fn serial_and_parallel_builds_agree() {
-        let g = sample();
-        let cfg = TablesConfig::default();
-        let serial = PathTables::build_serial(&g, &cfg);
-        let parallel = PathTables::build_parallel(&g, &cfg);
-        assert_eq!(serial.truncated, parallel.truncated);
-        for (a, b) in [
-            (&serial.l2, &parallel.l2),
-            (&serial.l3, &parallel.l3),
-            (&serial.c2, &parallel.c2),
-        ] {
-            assert_eq!(a.len(), b.len());
-            for (ra, rb) in a.iter().zip(b.iter()) {
-                assert_eq!(ra.vertices(), rb.vertices());
-                assert_eq!(ra.flow, rb.flow);
-                assert_eq!(a.delivered(ra), b.delivered(rb));
-            }
-        }
-    }
-
-    #[test]
-    fn for_anchors_matches_the_full_build_slice() {
-        let g = sample();
-        let cfg = TablesConfig::default();
-        let full = PathTables::build(&g, &cfg);
-        let x = g.node_by_name("x").unwrap();
-        // Duplicate anchors are deduplicated.
-        let subset = PathTables::for_anchors(&g, &cfg, &[x, x]);
-        assert_eq!(subset.l2.len(), full.l2.rows_for(x).len());
-        assert_eq!(subset.l3.len(), full.l3.rows_for(x).len());
-        assert_eq!(subset.c2.len(), full.c2.rows_for(x).len());
-        for (sub_table, full_table) in [
-            (&subset.l2, &full.l2),
-            (&subset.l3, &full.l3),
-            (&subset.c2, &full.c2),
-        ] {
-            for (rs, rf) in sub_table.iter().zip(full_table.rows_for(x)) {
-                assert_eq!(rs.vertices(), rf.vertices());
-                assert_eq!(rs.flow, rf.flow);
-                assert_eq!(sub_table.delivered(rs), full_table.delivered(rf));
-            }
-        }
-        // Other anchors contribute nothing.
-        let y = g.node_by_name("y").unwrap();
-        assert!(subset.l2.rows_for(y).is_empty());
+        assert!(t.l2.rows_for(w).is_empty());
     }
 
     #[test]
@@ -1638,25 +1295,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lazy_tables_memoize_and_match_eager_rows() {
-        let g = sample();
-        let cfg = TablesConfig::default();
-        let full = PathTables::build(&g, &cfg);
-        let mut lazy = LazyPathTables::new(cfg);
-        let x = g.node_by_name("x").unwrap();
-        let first_calls = {
-            let t = lazy.tables_for(&g, x);
-            assert_eq!(t.l2.len(), full.l2.rows_for(x).len());
-            assert_eq!(t.c2.len(), full.c2.rows_for(x).len());
-            lazy.kernel_calls()
-        };
-        // A repeat query is a cache hit: no new kernel work.
-        let _ = lazy.tables_for(&g, x);
-        assert_eq!(lazy.kernel_calls(), first_calls);
-        assert_eq!(lazy.built_anchors(), 1);
-    }
-
     /// Asserts `got` and `want` carry identical rows (vertices, flows,
     /// delivered profiles) in identical order, table by table.
     fn assert_row_identical(got: &PathTables, want: &PathTables) {
@@ -1668,7 +1306,7 @@ mod tests {
         use tin_graph::{GraphDelta, Interaction, Node};
         let mut g = sample();
         let cfg = TablesConfig::default();
-        let mut tables = PathTables::build_serial(&g, &cfg);
+        let mut tables = PathTables::build(&g, &cfg);
         let x = g.node_by_name("x").unwrap();
         let w = g.node_by_name("w").unwrap();
         // A batch that reshapes an existing edge, closes a new cycle through
@@ -1687,7 +1325,7 @@ mod tests {
         let update = tables.apply(&g, &applied);
         assert!(!update.rebuilt);
         assert!(update.refreshed_groups > 0);
-        assert_row_identical(&tables, &PathTables::build_serial(&g, &cfg));
+        assert_row_identical(&tables, &PathTables::build(&g, &cfg));
         // An eviction batch: early interactions expire, so edges shrink or
         // tombstone while one more record lands.
         let y = g.node_by_name("y").unwrap();
@@ -1697,7 +1335,7 @@ mod tests {
         let applied = g.apply(&delta).unwrap();
         assert!(!applied.removed_edges.is_empty());
         assert!(!tables.apply(&g, &applied).rebuilt);
-        assert_row_identical(&tables, &PathTables::build_serial(&g, &cfg));
+        assert_row_identical(&tables, &PathTables::build(&g, &cfg));
     }
 
     #[test]
@@ -1712,7 +1350,7 @@ mod tests {
             ("d", "c", 2, 2.0),
         ]);
         let cfg = TablesConfig::default();
-        let mut tables = PathTables::build_serial(&g, &cfg);
+        let mut tables = PathTables::build(&g, &cfg);
         let a = g.node_by_name("a").unwrap();
         let b = g.node_by_name("b").unwrap();
         let delta = GraphDelta::new(4, vec![], vec![(a, b, Interaction::new(3, 1.0))]).unwrap();
@@ -1722,7 +1360,7 @@ mod tests {
         // Exactly two row groups: the `[a, b, *]` block and the `[b, a]`
         // closing cycle; the disconnected c/d cycle is never revisited.
         assert_eq!(update.refreshed_groups, 2);
-        assert_row_identical(&tables, &PathTables::build_serial(&g, &cfg));
+        assert_row_identical(&tables, &PathTables::build(&g, &cfg));
     }
 
     #[test]
@@ -1730,7 +1368,7 @@ mod tests {
         use tin_graph::{GraphDelta, Interaction};
         let mut g = from_records([("a", "b", 1, 5.0), ("b", "a", 2, 3.0)]);
         let cfg = TablesConfig::default();
-        let mut tables = PathTables::build_serial(&g, &cfg);
+        let mut tables = PathTables::build(&g, &cfg);
         let a = g.node_by_name("a").unwrap();
         let b = g.node_by_name("b").unwrap();
         for t in 0..200 {
@@ -1739,7 +1377,7 @@ mod tests {
             let applied = g.apply(&delta).unwrap();
             tables.apply(&g, &applied);
         }
-        let rebuilt = PathTables::build_serial(&g, &cfg);
+        let rebuilt = PathTables::build(&g, &cfg);
         assert_row_identical(&tables, &rebuilt);
         // Garbage from 200 replacements was compacted away: the live arena
         // is within a constant factor of a fresh build's.
@@ -1759,7 +1397,7 @@ mod tests {
             max_rows: 1,
             ..TablesConfig::default()
         };
-        let mut tables = PathTables::build_serial(&g, &cfg);
+        let mut tables = PathTables::build(&g, &cfg);
         assert!(tables.truncated);
         let x = g.node_by_name("x").unwrap();
         let y = g.node_by_name("y").unwrap();
@@ -1768,103 +1406,5 @@ mod tests {
         let update = tables.apply(&g, &applied);
         assert!(update.rebuilt);
         assert!(tables.truncated, "cap still exceeded after the rebuild");
-    }
-
-    #[test]
-    #[should_panic(expected = "for_anchors subset")]
-    fn apply_on_an_anchor_subset_panics() {
-        use tin_graph::{GraphDelta, Interaction};
-        let mut g = sample();
-        let x = g.node_by_name("x").unwrap();
-        let y = g.node_by_name("y").unwrap();
-        let mut subset = PathTables::for_anchors(&g, &TablesConfig::default(), &[x]);
-        let delta = GraphDelta::new(4, vec![], vec![(x, y, Interaction::new(9, 1.0))]).unwrap();
-        let applied = g.apply(&delta).unwrap();
-        let _ = subset.apply(&g, &applied);
-    }
-
-    #[test]
-    fn lazy_apply_evicts_only_invalidated_anchors() {
-        use tin_graph::{GraphDelta, Interaction};
-        let mut g = from_records([
-            ("a", "b", 1, 5.0),
-            ("b", "a", 2, 3.0),
-            ("c", "d", 1, 4.0),
-            ("d", "c", 2, 2.0),
-        ]);
-        let cfg = TablesConfig::default();
-        let mut lazy = LazyPathTables::new(cfg);
-        for v in g.node_ids() {
-            let _ = lazy.tables_for(&g, v);
-        }
-        assert_eq!(lazy.built_anchors(), 4);
-        let a = g.node_by_name("a").unwrap();
-        let b = g.node_by_name("b").unwrap();
-        let delta = GraphDelta::new(4, vec![], vec![(a, b, Interaction::new(3, 1.0))]).unwrap();
-        let applied = g.apply(&delta).unwrap();
-        let evicted = lazy.apply(&g, &applied);
-        assert_eq!(evicted, 2, "exactly a and b drop out");
-        assert_eq!(lazy.built_anchors(), 2);
-        // Re-querying an evicted anchor rebuilds it against the grown graph.
-        let full = PathTables::build_serial(&g, &cfg);
-        let t = lazy.tables_for(&g, a);
-        assert_eq!(t.l2.len(), full.l2.rows_for(a).len());
-        let row = &t.l2.rows_for(a)[0];
-        let want = &full.l2.rows_for(a)[0];
-        assert_eq!(row.flow, want.flow);
-    }
-
-    #[test]
-    fn lazy_single_anchor_does_anchor_local_work() {
-        // A graph with one modest anchor and a large dense "elsewhere":
-        // building tables for the anchor alone must not touch the dense part.
-        let mut records: Vec<(String, String, i64, f64)> = Vec::new();
-        let mut t = 0i64;
-        let mut push = |a: String, b: String, records: &mut Vec<(String, String, i64, f64)>| {
-            t += 1;
-            records.push((a, b, t, 1.0));
-        };
-        // The anchor `a` has 3 successors, each with small out-degree.
-        for i in 0..3 {
-            push("a".into(), format!("s{i}"), &mut records);
-            push(format!("s{i}"), "a".into(), &mut records);
-            push(format!("s{i}"), format!("s{}", (i + 1) % 3), &mut records);
-        }
-        // A 14-vertex near-clique nowhere near `a`.
-        for i in 0..14 {
-            for j in 0..14 {
-                if i != j {
-                    push(format!("d{i}"), format!("d{j}"), &mut records);
-                }
-            }
-        }
-        let g = from_records(
-            records
-                .iter()
-                .map(|(a, b, t, q)| (a.as_str(), b.as_str(), *t, *q)),
-        );
-        let cfg = TablesConfig::default();
-        let full = PathTables::build_serial(&g, &cfg);
-        let a = g.node_by_name("a").unwrap();
-        let mut lazy = LazyPathTables::new(cfg);
-        let _ = lazy.tables_for(&g, a);
-        // O(deg²) bound: each out-edge (u,v) costs ≤ 1 L2 pass plus ≤ 2
-        // passes (prefix + closing) per closing vertex w of v.
-        let bound: u64 = g
-            .out_neighbors(a)
-            .map(|v| 1 + 2 * g.out_degree(v) as u64)
-            .sum();
-        assert!(
-            lazy.kernel_calls() <= bound,
-            "lazy build did {} kernel passes, O(deg²) bound is {bound}",
-            lazy.kernel_calls()
-        );
-        // ... while the eager build pays for the dense region too.
-        assert!(
-            full.kernel_calls() > 10 * lazy.kernel_calls(),
-            "full build ({} passes) should dwarf the lazy build ({} passes)",
-            full.kernel_calls(),
-            lazy.kernel_calls()
-        );
     }
 }

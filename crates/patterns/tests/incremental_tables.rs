@@ -4,12 +4,11 @@
 //! tables **row-identical** to a from-scratch [`PathTables::build`] over the
 //! final graph — same vertex sequences in the same order, same delivered
 //! profiles, same flows. A directed test additionally checks every
-//! intermediate state, and the lazy cache is held to the same standard
-//! through its eviction path.
+//! intermediate state.
 
 use proptest::prelude::*;
 use tin_graph::{GraphBuilder, Interaction, NodeId, TemporalGraph};
-use tin_patterns::{LazyPathTables, PathTables, TablesConfig};
+use tin_patterns::{PathTables, TablesConfig};
 
 /// A record log over a small vertex pool; destinations are generated as a
 /// nonzero offset from the source so no record is a self-loop.
@@ -71,7 +70,7 @@ proptest! {
         ] {
             let mut tables = PathTables::build(&TemporalGraph::new(), &config);
             let g = run_incremental(&records, &splits, &mut tables, |_, _| {});
-            assert_row_identical("final", &tables, &PathTables::build_serial(&g, &config));
+            assert_row_identical("final", &tables, &PathTables::build(&g, &config));
         }
     }
 
@@ -86,54 +85,10 @@ proptest! {
         let splits: Vec<usize> = (0..30).step_by(step).collect();
         let mut tables = PathTables::build(&TemporalGraph::new(), &config);
         run_incremental(&records, &splits, &mut tables, |g, t| {
-            assert_row_identical("boundary", t, &PathTables::build_serial(g, &config));
+            assert_row_identical("boundary", t, &PathTables::build(g, &config));
         });
     }
 
-    /// The lazy cache, maintained through eviction, answers per-anchor
-    /// queries identically to a fresh full build at every batch boundary.
-    #[test]
-    fn lazy_cache_stays_consistent_under_eviction(
-        records in records(30),
-        splits in proptest::collection::vec(0usize..30, 0..5),
-    ) {
-        let config = TablesConfig::default();
-        let mut lazy = LazyPathTables::new(config);
-        let mut g = TemporalGraph::new();
-        let mut b = GraphBuilder::new();
-        let check = |g: &TemporalGraph, lazy: &mut LazyPathTables| {
-            let full = PathTables::build_serial(g, &config);
-            for a in g.node_ids() {
-                let per_anchor = lazy.tables_for(g, a);
-                for (sub, whole) in [
-                    (&per_anchor.l2, &full.l2),
-                    (&per_anchor.l3, &full.l3),
-                    (&per_anchor.c2, &full.c2),
-                ] {
-                    let want = whole.rows_for(a);
-                    assert_eq!(sub.len(), want.len());
-                    for (rs, rf) in sub.iter().zip(want) {
-                        assert_eq!(rs.vertices(), rf.vertices());
-                        assert_eq!(rs.flow, rf.flow);
-                        assert_eq!(sub.delivered(rs), whole.delivered(rf));
-                    }
-                }
-            }
-        };
-        for (i, &(s, d, t, q)) in records.iter().enumerate() {
-            if splits.contains(&i) {
-                let applied = g.apply(&b.drain_delta()).unwrap();
-                lazy.apply(&g, &applied);
-                check(&g, &mut lazy);
-            }
-            let s = b.get_or_add_node(format!("v{s}"));
-            let d = b.get_or_add_node(format!("v{d}"));
-            b.add_interaction(s, d, Interaction::new(t, q)).unwrap();
-        }
-        let applied = g.apply(&b.drain_delta()).unwrap();
-        lazy.apply(&g, &applied);
-        check(&g, &mut lazy);
-    }
 }
 
 /// One interaction per batch for a while: the most adversarial splitting,
@@ -159,7 +114,7 @@ fn single_record_batches_and_cap_fallback() {
     };
     let mut tables = PathTables::build(&TemporalGraph::new(), &config);
     let g = run_incremental(&log, &splits, &mut tables, |_, _| {});
-    assert_row_identical("uncapped", &tables, &PathTables::build_serial(&g, &config));
+    assert_row_identical("uncapped", &tables, &PathTables::build(&g, &config));
     // A cap small enough to trip mid-stream: apply must fall back to the
     // rebuild path and end bit-compatible with a capped fresh build
     // (truncation verdicts included).
@@ -169,7 +124,7 @@ fn single_record_batches_and_cap_fallback() {
     };
     let mut tables = PathTables::build(&TemporalGraph::new(), &capped);
     let g = run_incremental(&log, &splits, &mut tables, |_, _| {});
-    let rebuilt = PathTables::build_serial(&g, &capped);
+    let rebuilt = PathTables::build(&g, &capped);
     assert_eq!(tables.truncated, rebuilt.truncated);
     assert!(tables.truncated, "the cap must actually trip in this test");
 }
@@ -197,7 +152,7 @@ fn incremental_kernel_work_is_delta_local() {
     let mut g = TemporalGraph::new();
     g.apply(&b.drain_delta()).unwrap();
     let config = TablesConfig::default();
-    let mut tables = PathTables::build_serial(&g, &config);
+    let mut tables = PathTables::build(&g, &config);
     let full_build_calls = tables.kernel_calls();
     // Ten appends on the appendix edge; each invalidates {a, b} only.
     let mut appended = GraphBuilder::for_graph(&g);
@@ -211,7 +166,7 @@ fn incremental_kernel_work_is_delta_local() {
         assert!(!update.rebuilt);
         incremental_calls += update.kernel_calls;
     }
-    assert_row_identical("local", &tables, &PathTables::build_serial(&g, &config));
+    assert_row_identical("local", &tables, &PathTables::build(&g, &config));
     assert!(
         incremental_calls * 10 < full_build_calls,
         "10 local updates ({incremental_calls} kernel passes) should be far below one \

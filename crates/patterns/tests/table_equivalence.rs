@@ -1,13 +1,12 @@
 //! Property-based cross-check of the path-table builders.
 //!
 //! The chain-propagation kernel builder (the production path: shared-prefix
-//! enumeration, arena-backed rows, optional parallel fan-out, anchor-lazy
-//! subsets) and the retained reference builder (per-row graph
-//! materialization + traced greedy scan) are independent implementations.
-//! On random temporal graphs they must produce identical rows: same vertex
-//! sequences in the same order, same delivered profiles, same flows, same
-//! truncation verdicts. Directed tests pin repeated anchor requests,
-//! zero-flow cycles and capped tables.
+//! enumeration, arena-backed rows) and the retained reference builder
+//! (per-row graph materialization + traced greedy scan) are independent
+//! implementations. On random temporal graphs they must produce identical
+//! rows: same vertex sequences in the same order, same delivered profiles,
+//! same flows, same truncation verdicts. Directed tests pin zero-flow
+//! cycles and capped tables.
 //!
 //! Interaction quantities are small integers so that every greedy update
 //! (`+`, `-`, `min`) is exact in `f64` and equality can be checked without
@@ -17,7 +16,7 @@
 use proptest::prelude::*;
 use tin_graph::{GraphBuilder, NodeId, TemporalGraph};
 use tin_patterns::reference::{build_reference, ReferenceRow, ReferenceTables};
-use tin_patterns::{LazyPathTables, PathTable, PathTables, TablesConfig};
+use tin_patterns::{PathTable, PathTables, TablesConfig};
 
 /// A deterministic pseudo-random temporal graph derived from a seed:
 /// `nodes` vertices, `edges` directed edge slots (duplicates merge, a few
@@ -129,64 +128,10 @@ proptest! {
             TablesConfig { build_c2: false, ..TablesConfig::default() },
             TablesConfig { build_l2: false, build_l3: true, ..TablesConfig::default() },
         ] {
-            let kernel = PathTables::build_serial(&g, &config);
+            let kernel = PathTables::build(&g, &config);
             let reference = build_reference(&g, &config);
             assert_tables_match(&kernel, &reference);
         }
-    }
-
-    /// The parallel fan-out changes nothing but wall-clock time.
-    #[test]
-    fn parallel_matches_serial(desc in random_graph(12, 40)) {
-        let g = build_graph(&desc);
-        let config = TablesConfig::default();
-        let serial = PathTables::build_serial(&g, &config);
-        let parallel = PathTables::build_parallel(&g, &config);
-        prop_assert_eq!(serial.truncated, parallel.truncated);
-        for (label, a, b) in [
-            ("L2", &serial.l2, &parallel.l2),
-            ("L3", &serial.l3, &parallel.l3),
-            ("C2", &serial.c2, &parallel.c2),
-        ] {
-            prop_assert_eq!(a.len(), b.len(), "{}: row counts differ", label);
-            for (ra, rb) in a.iter().zip(b.iter()) {
-                prop_assert_eq!(ra.vertices(), rb.vertices());
-                prop_assert_eq!(a.delivered(ra), b.delivered(rb));
-                prop_assert_eq!(ra.flow, rb.flow);
-            }
-        }
-    }
-
-    /// Anchor-lazy builds agree with the corresponding slice of the eager
-    /// build, including when anchors repeat.
-    #[test]
-    fn lazy_and_subset_match_full_build(desc in random_graph(10, 24)) {
-        let g = build_graph(&desc);
-        let config = TablesConfig::default();
-        let full = PathTables::build_serial(&g, &config);
-        let anchors: Vec<NodeId> = g.node_ids().collect();
-        let mut lazy = LazyPathTables::new(config);
-        for &a in &anchors {
-            let per_anchor = lazy.tables_for(&g, a);
-            for (label, sub, whole) in [
-                ("L2", &per_anchor.l2, &full.l2),
-                ("L3", &per_anchor.l3, &full.l3),
-                ("C2", &per_anchor.c2, &full.c2),
-            ] {
-                let want = whole.rows_for(a);
-                prop_assert_eq!(sub.len(), want.len(), "{}: anchor {} row counts differ", label, a);
-                for (rs, rf) in sub.iter().zip(want) {
-                    prop_assert_eq!(rs.vertices(), rf.vertices());
-                    prop_assert_eq!(sub.delivered(rs), whole.delivered(rf));
-                    prop_assert_eq!(rs.flow, rf.flow);
-                }
-            }
-        }
-        // Repeated anchor copies collapse: the subset build over a
-        // duplicated list equals the whole build.
-        let doubled: Vec<NodeId> = anchors.iter().chain(anchors.iter()).copied().collect();
-        let subset = PathTables::for_anchors(&g, &config, &doubled);
-        prop_assert_eq!(subset.row_count(), full.row_count());
     }
 
     /// Row caps: both builders agree on whether the graph's tables fit.
@@ -194,7 +139,7 @@ proptest! {
     fn capped_builds_agree_on_truncation(desc in random_graph(8, 20), cap in 1..12usize) {
         let g = build_graph(&desc);
         let config = TablesConfig { max_rows: cap, ..TablesConfig::default() };
-        let kernel = PathTables::build_serial(&g, &config);
+        let kernel = PathTables::build(&g, &config);
         let reference = build_reference(&g, &config);
         prop_assert_eq!(kernel.truncated, reference.truncated,
             "cap {}: kernel truncated={}, reference truncated={}",
@@ -209,7 +154,7 @@ proptest! {
     #[test]
     fn offset_index_matches_binary_search(desc in random_graph(10, 24)) {
         let g = build_graph(&desc);
-        let t = PathTables::build_serial(&g, &TablesConfig::default());
+        let t = PathTables::build(&g, &TablesConfig::default());
         for table in [&t.l2, &t.l3, &t.c2] {
             let rows = table.rows();
             for a in g.node_ids() {
@@ -240,7 +185,7 @@ fn zero_flow_cycles_round_trip() {
     b.add_pairs(w, u, &[(2, 4.0)]).unwrap();
     let g = b.build();
     let config = TablesConfig::default();
-    let kernel = PathTables::build_serial(&g, &config);
+    let kernel = PathTables::build(&g, &config);
     let reference = build_reference(&g, &config);
     assert_tables_match(&kernel, &reference);
     let u_cycle = kernel.l2.rows_for(u);

@@ -8,13 +8,12 @@
 //! the addition row groups symmetrically, so this is the retraction-side
 //! twin of `incremental_tables.rs`; directed tests cover the edge cases
 //! (total eviction, window larger than the log, single-record batches,
-//! eviction that re-crosses the row cap downward) and the lazy cache's
-//! eviction path, and a churn regression pins the arena's amortized
-//! compaction.
+//! eviction that re-crosses the row cap downward), and a churn regression
+//! pins the arena's amortized compaction.
 
 use proptest::prelude::*;
 use tin_graph::{GraphBuilder, Interaction, TemporalGraph};
-use tin_patterns::{LazyPathTables, PathTables, TablesConfig};
+use tin_patterns::{PathTables, TablesConfig};
 
 /// A record log over a small vertex pool; destinations are generated as a
 /// nonzero offset from the source so no record is a self-loop.
@@ -91,7 +90,7 @@ proptest! {
         ] {
             let mut tables = PathTables::build(&TemporalGraph::new(), &config);
             let g = run_windowed(&records, &splits, window, &mut tables, |_, _| {});
-            assert_row_identical("final", &tables, &PathTables::build_serial(&g, &config));
+            assert_row_identical("final", &tables, &PathTables::build(&g, &config));
         }
     }
 
@@ -107,71 +106,10 @@ proptest! {
         let splits: Vec<usize> = (0..30).step_by(step).collect();
         let mut tables = PathTables::build(&TemporalGraph::new(), &config);
         run_windowed(&records, &splits, window, &mut tables, |g, t| {
-            assert_row_identical("boundary", t, &PathTables::build_serial(g, &config));
+            assert_row_identical("boundary", t, &PathTables::build(g, &config));
         });
     }
 
-    /// The lazy cache, evicting invalidated anchors for removals the same
-    /// way it does for additions, answers per-anchor queries identically to
-    /// a fresh build at every windowed boundary. (This is also the negative
-    /// test for applying removals to `LazyPathTables`: nothing panics, the
-    /// cache just converges.)
-    #[test]
-    fn lazy_cache_absorbs_removals(
-        records in records(30),
-        splits in proptest::collection::vec(0usize..30, 0..5),
-        window in 0i64..30,
-    ) {
-        let config = TablesConfig::default();
-        let mut lazy = LazyPathTables::new(config);
-        let mut g = TemporalGraph::new();
-        let mut b = GraphBuilder::new();
-        let mut max_seen: Option<i64> = None;
-        let check = |g: &TemporalGraph, lazy: &mut LazyPathTables| {
-            let full = PathTables::build_serial(g, &config);
-            for a in g.node_ids() {
-                let per_anchor = lazy.tables_for(g, a);
-                for (sub, whole) in [
-                    (&per_anchor.l2, &full.l2),
-                    (&per_anchor.l3, &full.l3),
-                    (&per_anchor.c2, &full.c2),
-                ] {
-                    let want = whole.rows_for(a);
-                    assert_eq!(sub.len(), want.len());
-                    for (rs, rf) in sub.iter().zip(want) {
-                        assert_eq!(rs.vertices(), rf.vertices());
-                        assert_eq!(rs.flow, rf.flow);
-                        assert_eq!(sub.delivered(rs), whole.delivered(rf));
-                    }
-                }
-            }
-        };
-        let flush = |g: &mut TemporalGraph,
-                     b: &mut GraphBuilder,
-                     max_seen: Option<i64>,
-                     lazy: &mut LazyPathTables| {
-            let mut delta = b.drain_delta();
-            if let Some(newest) = max_seen {
-                delta = delta.expire_before(newest.saturating_sub(window));
-            }
-            let applied = g.apply(&delta).unwrap();
-            lazy.apply(g, &applied);
-        };
-        for (i, &(s, d, t, q)) in records.iter().enumerate() {
-            if splits.contains(&i) {
-                flush(&mut g, &mut b, max_seen, &mut lazy);
-                check(&g, &mut lazy);
-            }
-            let s = b.get_or_add_node(format!("v{s}"));
-            let d = b.get_or_add_node(format!("v{d}"));
-            b.add_interaction(s, d, Interaction::new(t, q)).unwrap();
-            if max_seen.is_none_or(|m| t > m) {
-                max_seen = Some(t);
-            }
-        }
-        flush(&mut g, &mut b, max_seen, &mut lazy);
-        check(&g, &mut lazy);
-    }
 }
 
 /// A window of zero behind the newest timestamp evicts (almost) everything;
@@ -189,7 +127,7 @@ fn window_that_evicts_everything() {
         .collect();
     let splits: Vec<usize> = (0..log.len()).collect();
     let g = run_windowed(&log, &splits, 0, &mut tables, |g, t| {
-        assert_row_identical("boundary", t, &PathTables::build_serial(g, &config));
+        assert_row_identical("boundary", t, &PathTables::build(g, &config));
     });
     assert_eq!(g.interaction_count(), 1, "only the newest instant survives");
     assert!(g.live_edge_count() == 1 && g.edge_count() > 1);
@@ -205,7 +143,7 @@ fn window_that_evicts_everything() {
         "total eviction is still an incremental patch"
     );
     assert!(tables.l2.is_empty() && tables.l3.is_empty() && tables.c2.is_empty());
-    assert_row_identical("empty", &tables, &PathTables::build_serial(&g, &config));
+    assert_row_identical("empty", &tables, &PathTables::build(&g, &config));
 }
 
 /// A window larger than the log never evicts: windowed maintenance must
@@ -228,11 +166,7 @@ fn window_larger_than_the_log_is_append_only() {
     let mut tables = PathTables::build(&TemporalGraph::new(), &config);
     let g = run_windowed(&log, &splits, 10_000, &mut tables, |_, _| {});
     assert_eq!(g.live_edge_count(), g.edge_count(), "no tombstones");
-    assert_row_identical(
-        "huge window",
-        &tables,
-        &PathTables::build_serial(&g, &config),
-    );
+    assert_row_identical("huge window", &tables, &PathTables::build(&g, &config));
 }
 
 /// Eviction that re-crosses the row cap downward: a dense early phase trips
@@ -266,7 +200,7 @@ fn eviction_recrosses_the_cap_downward() {
     // Window 20: the dense phase expires as soon as the trickle arrives.
     let g = run_windowed(&log, &splits, 20, &mut tables, |g, t| {
         was_truncated |= t.truncated;
-        let fresh = PathTables::build_serial(g, &capped);
+        let fresh = PathTables::build(g, &capped);
         assert_eq!(t.truncated, fresh.truncated, "cap verdicts agree");
         if !t.truncated {
             assert_row_identical("cap boundary", t, &fresh);
@@ -281,7 +215,7 @@ fn eviction_recrosses_the_cap_downward() {
         g.live_edge_count() < g.edge_count(),
         "clique edges tombstoned"
     );
-    assert_row_identical("final", &tables, &PathTables::build_serial(&g, &capped));
+    assert_row_identical("final", &tables, &PathTables::build(&g, &capped));
 }
 
 /// Arena-compaction regression under churn: a steady window over a long
